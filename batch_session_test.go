@@ -70,6 +70,45 @@ func TestSessionBatchPivotMatchesSequential(t *testing.T) {
 	}
 }
 
+// A Delta-batch window on a k-NN session walks each permutation once for
+// the shared chain and all k points, so it serves (k+1) utilities per
+// walked position — the points' own U({v}) come from the Value calls that
+// price them — and the session's counter, exact when the walk returns,
+// matches the journal record at every worker count.
+func TestSessionBatchDeltaPrefixAddAccounting(t *testing.T) {
+	const n, k, tau = 14, 4, 25
+	pts := batchTestPoints(k, 4)
+	indices := []int{3, 11, 0, 7}
+	for _, workers := range []int{1, 2, 3} {
+		s := newTestSession(t, n, WithWorkers(workers), WithUpdateSamples(tau))
+		if err := s.Init(); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []struct {
+			op   string
+			run  func() error
+			want int64
+		}{
+			{"add", func() error { _, err := s.Add(pts, AlgoDeltaBatch); return err }, (k + 1) * n * tau},
+			{"delete", func() error { _, err := s.Delete(indices, AlgoDeltaBatch); return err }, int64((k + 1) * (n + k - len(indices)) * tau)},
+		} {
+			before := s.PrefixAdds()
+			if err := w.run(); err != nil {
+				t.Fatal(err)
+			}
+			got := s.PrefixAdds() - before
+			rec, err := s.At(s.Version())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != w.want || rec.PrefixAdds != w.want {
+				t.Fatalf("workers=%d %s window: counted %d prefix adds, journaled %d, want %d",
+					workers, w.op, got, rec.PrefixAdds, w.want)
+			}
+		}
+	}
+}
+
 func TestSessionBatchDeltaWorkerInvariantAndK1(t *testing.T) {
 	const n, k = 14, 4
 	pts := batchTestPoints(k, 4)

@@ -742,13 +742,14 @@ func benchSessionAddBatch(b *testing.B, algo dynshap.Algorithm) {
 func BenchmarkSessionAddBatch16N200(b *testing.B)      { benchSessionAddBatch(b, dynshap.AlgoDeltaBatch) }
 func BenchmarkSessionAddSequential16N200(b *testing.B) { benchSessionAddBatch(b, dynshap.AlgoDelta) }
 
-// TestBatchAddSpeedup enforces ISSUE 5's acceptance bound: a batched Add of
-// k = 16 points at n = 200 must finish in under half the sequential
-// per-point loop's wall clock. The batched walk evaluates the shared
-// no-pivot chain once per permutation instead of once per point — an
-// ~(2k)/(k+1) algorithmic saving — and stripes the per-point accumulators
-// across workers on top. Skipped on single-core machines, whose schedulers
-// make wall-clock ratios too noisy to gate on.
+// TestBatchAddSpeedup gates the batched delta addition's win: a batched Add
+// of k = 16 points at n = 200 must finish in under a quarter of the
+// sequential per-point loop's wall clock. The batched walk evaluates the
+// shared no-pivot chain once per permutation instead of once per point,
+// the k-NN utility derives all k with-chains from that one chain (the fused
+// pivot walk), and permutations spread across workers on top. Skipped on
+// single-core machines, whose schedulers make wall-clock ratios too noisy
+// to gate on.
 func TestBatchAddSpeedup(t *testing.T) {
 	if p := runtime.GOMAXPROCS(0); p < 2 {
 		t.Skipf("need at least 2 CPUs for a stable timing ratio, have %d", p)
@@ -776,8 +777,9 @@ func TestBatchAddSpeedup(t *testing.T) {
 	}
 	seqSecs := measure(dynshap.AlgoDelta)
 	batchSecs := measure(dynshap.AlgoDeltaBatch)
-	if batchSecs*2 > seqSecs {
-		t.Fatalf("batched add only %.2f× faster than sequential (batch %.4fs, sequential %.4fs), want ≥2×",
+	t.Logf("batched add %.1f× faster than sequential (batch %.4fs, sequential %.4fs)", seqSecs/batchSecs, batchSecs, seqSecs)
+	if batchSecs*4 > seqSecs {
+		t.Fatalf("batched add only %.2f× faster than sequential (batch %.4fs, sequential %.4fs), want ≥4×",
 			seqSecs/batchSecs, batchSecs, seqSecs)
 	}
 }

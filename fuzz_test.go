@@ -277,20 +277,40 @@ func FuzzSemivalueHeadEquality(f *testing.F) {
 	})
 }
 
+// knnMode maps a fuzz byte to one of the four k-NN utilities the batched
+// walks must handle: bit 0 picks the soft scoring rule over the hard vote,
+// bit 1 the Euclidean distance source over the precomputed kernel.
+func knnMode(mode uint8, k int) (ml.Trainer, []utility.Option) {
+	var tr ml.Trainer = ml.KNN{K: k}
+	if mode&1 != 0 {
+		tr = ml.SoftKNN{K: k}
+	}
+	var opts []utility.Option
+	if mode&2 != 0 {
+		opts = append(opts, utility.WithoutKernel())
+	}
+	return tr, opts
+}
+
 // FuzzBatchSequentialEquality asserts the batched update walks' bit-identity
 // contract on fuzzer-chosen workloads: for random bases, batch sizes, τ
 // budgets, and worker counts, the engine's one-pass batched walks must
 // equal their per-point sequential references with ==, no tolerance — the
 // delta form against k independent fixed-base walks sharing the permutation
 // stream, the pivot form against k successive AddSame calls (including the
-// evolved LSV state). Seeds run as regular tests; use
+// evolved LSV state). mode picks the scoring rule and distance source
+// (knnMode), so the delta form's fused k-NN walk is pinned under both rules
+// and both sources. Seeds run as regular tests; use
 // `go test -fuzz FuzzBatchSequentialEquality .` for guided exploration.
 func FuzzBatchSequentialEquality(f *testing.F) {
-	f.Add(uint64(1), uint8(10), uint8(2), uint8(20), uint8(1))
-	f.Add(uint64(7), uint8(15), uint8(4), uint8(9), uint8(3))
-	f.Add(uint64(42), uint8(2), uint8(0), uint8(0), uint8(7))
-	f.Add(uint64(99), uint8(23), uint8(5), uint8(14), uint8(15))
-	f.Fuzz(func(t *testing.T, seed uint64, nRaw, kRaw, tauRaw, wRaw uint8) {
+	f.Add(uint64(1), uint8(10), uint8(2), uint8(20), uint8(1), uint8(0))
+	f.Add(uint64(7), uint8(15), uint8(4), uint8(9), uint8(3), uint8(0))
+	f.Add(uint64(42), uint8(2), uint8(0), uint8(0), uint8(7), uint8(0))
+	f.Add(uint64(99), uint8(23), uint8(5), uint8(14), uint8(15), uint8(0))
+	f.Add(uint64(5), uint8(12), uint8(5), uint8(11), uint8(1), uint8(1))
+	f.Add(uint64(6), uint8(9), uint8(3), uint8(17), uint8(2), uint8(2))
+	f.Add(uint64(8), uint8(19), uint8(4), uint8(6), uint8(4), uint8(3))
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw, kRaw, tauRaw, wRaw, mode uint8) {
 		n := 2 + int(nRaw)%20
 		k := 1 + int(kRaw)%6
 		tau := 1 + int(tauRaw)%25
@@ -311,7 +331,8 @@ func FuzzBatchSequentialEquality(f *testing.F) {
 			return d
 		}
 		train, test := mk(n), mk(1+r.Intn(8))
-		u := utility.NewModelUtility(train, test, ml.KNN{K: 1 + r.Intn(4)})
+		tr, opts := knnMode(mode, 1+r.Intn(4))
+		u := utility.NewModelUtility(train, test, tr, opts...)
 		uPlus := u.Append(mk(k).Points...)
 
 		oldSV := make([]float64, n)
@@ -326,8 +347,8 @@ func FuzzBatchSequentialEquality(f *testing.F) {
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("%s: value %d is %v, want %v (n=%d k=%d τ=%d workers=%d)",
-						stage, i, got[i], want[i], n, k, tau, workers)
+					t.Fatalf("%s: value %d is %v, want %v (n=%d k=%d τ=%d workers=%d mode=%d)",
+						stage, i, got[i], want[i], n, k, tau, workers, mode%4)
 				}
 			}
 		}
@@ -373,15 +394,20 @@ func FuzzBatchSequentialEquality(f *testing.F) {
 // batched deletions must equal their sequential references with ==, no
 // tolerance — the delta form against per-point with-chains over the shared
 // common-survivor stream, the pivot form against k successive DeleteSame
-// calls (including the evolved permutations, slots, and LSV state). Seeds
-// run as regular tests; use `go test -fuzz FuzzBatchDeleteSequentialEquality .`
-// for guided exploration.
+// calls (including the evolved permutations, slots, and LSV state). mode
+// picks the scoring rule and distance source (knnMode), as in
+// FuzzBatchSequentialEquality. Seeds run as regular tests; use
+// `go test -fuzz FuzzBatchDeleteSequentialEquality .` for guided
+// exploration.
 func FuzzBatchDeleteSequentialEquality(f *testing.F) {
-	f.Add(uint64(1), uint8(10), uint8(2), uint8(20), uint8(1))
-	f.Add(uint64(7), uint8(15), uint8(4), uint8(9), uint8(3))
-	f.Add(uint64(42), uint8(3), uint8(0), uint8(0), uint8(7))
-	f.Add(uint64(99), uint8(23), uint8(5), uint8(14), uint8(15))
-	f.Fuzz(func(t *testing.T, seed uint64, nRaw, kRaw, tauRaw, wRaw uint8) {
+	f.Add(uint64(1), uint8(10), uint8(2), uint8(20), uint8(1), uint8(0))
+	f.Add(uint64(7), uint8(15), uint8(4), uint8(9), uint8(3), uint8(0))
+	f.Add(uint64(42), uint8(3), uint8(0), uint8(0), uint8(7), uint8(0))
+	f.Add(uint64(99), uint8(23), uint8(5), uint8(14), uint8(15), uint8(0))
+	f.Add(uint64(5), uint8(12), uint8(5), uint8(11), uint8(1), uint8(1))
+	f.Add(uint64(6), uint8(9), uint8(3), uint8(17), uint8(2), uint8(2))
+	f.Add(uint64(8), uint8(19), uint8(4), uint8(6), uint8(4), uint8(3))
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw, kRaw, tauRaw, wRaw, mode uint8) {
 		n := 3 + int(nRaw)%20
 		k := 1 + int(kRaw)%6
 		if k >= n {
@@ -405,7 +431,8 @@ func FuzzBatchDeleteSequentialEquality(f *testing.F) {
 			return d
 		}
 		train, test := mk(n), mk(1+r.Intn(8))
-		u := utility.NewModelUtility(train, test, ml.KNN{K: 1 + r.Intn(4)})
+		tr, opts := knnMode(mode, 1+r.Intn(4))
+		u := utility.NewModelUtility(train, test, tr, opts...)
 
 		// A fuzzer-chosen departing set: k distinct indices in [0, n).
 		points := r.PermN(n)[:k]
@@ -422,8 +449,8 @@ func FuzzBatchDeleteSequentialEquality(f *testing.F) {
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("%s: value %d is %v, want %v (n=%d k=%d τ=%d workers=%d points=%v)",
-						stage, i, got[i], want[i], n, k, tau, workers, points)
+					t.Fatalf("%s: value %d is %v, want %v (n=%d k=%d τ=%d workers=%d mode=%d points=%v)",
+						stage, i, got[i], want[i], n, k, tau, workers, mode%4, points)
 				}
 			}
 		}

@@ -77,14 +77,14 @@ type Engine struct {
 	headVals [][]float64
 
 	// scratch caches the batched walks' reusable buffers across calls —
-	// per-permutation perm/utility arrays, per-point accumulator matrices,
-	// and the striped paths' chunk slots. The engine is single-writer (the
-	// session serialises updates), so cached scratch is never shared
-	// between concurrent passes; every buffer is resized on use and either
-	// zeroed (accumulators) or fully overwritten before it is read. This
-	// matters most under the write-coalescing pipeline, where every
-	// admission window pays a batch walk: without the cache each window
-	// re-allocates its whole O(k·n) scratch.
+	// per-point accumulator matrices, the delta pipeline's permutation and
+	// row slots, and the striped paths' chunk slots. The engine is
+	// single-writer (the session serialises updates), so cached scratch is
+	// never shared between concurrent passes; every buffer is resized on
+	// use and either zeroed (accumulators) or fully overwritten before it
+	// is read. This matters most under the write-coalescing pipeline, where
+	// every admission window pays a batch walk: without the cache each
+	// window re-allocates its whole O(k·n) scratch.
 	scratch batchScratch
 
 	stats EngineStats

@@ -17,10 +17,10 @@ import (
 //     DeltaDelete pays two prefix walks per permutation; across k
 //     departing points the without-chain (a walk of the survivors only)
 //     is the SAME for every point once permutations are drawn over the
-//     COMMON survivors, so the producer walks it once and the k
-//     with-chains — each seeded with its departing point — read its
-//     utilities from a buffer: (k+1) chains per permutation instead of
-//     2k.
+//     COMMON survivors, so each permutation is walked into one row of the
+//     shared chain plus the k with-chains — each seeded with its departing
+//     point — on engine_batch.go's permutation pipeline (walkDeltaRows),
+//     fused into one walk when the game offers a pivot-aware evaluator.
 //
 //   - BatchDeleteSame evolves the stored permutations through all k
 //     removals first (pure integer bookkeeping, zero randomness, zero
@@ -31,15 +31,15 @@ import (
 //     while landing on bit-identical state: the final walk visits the
 //     same permutations in the same game either way.
 //
-// Parallelism follows engine_batch.go's contract. The delta form stripes
-// over the DEPARTING POINTS (each dsv_j single-owner); the pivot form has
-// one shared pass, so it stripes over the PLAYER ROWS of rsv/dlsv like
-// the preprocessing fills, with the producer publishing each walk's
-// prefix utilities. Either way every accumulator is written by exactly
-// one worker, fed in chunk issue order — bit-identical to the sequential
-// references at any worker count. All randomness (the delta form's
-// permutation draws) is consumed in the producer; the pivot form consumes
-// none at all.
+// Parallelism follows engine_batch.go's contract. The delta form is
+// permutation-parallel with the producer folding rows in permutation
+// order; the pivot form has one shared pass, so it stripes over the PLAYER
+// ROWS of rsv/dlsv like the preprocessing fills, with the producer
+// publishing each walk's prefix utilities. Either way every accumulator is
+// written by one goroutine in the sequential references' order —
+// bit-identical to them at any worker count. All randomness (the delta
+// form's permutation draws) is consumed in the producer; the pivot form
+// consumes none at all.
 //
 // Neither pass supports adaptive early stop (shared permutations couple
 // the points' budgets) or extra semivalue heads (the batched deletes are
@@ -72,7 +72,7 @@ func (e *Engine) BatchDeltaDelete(g game.Game, oldSV []float64, points []int, ta
 	}
 	survivors := batchSurvivors(n, points)
 	c := n - k
-	workers := e.effectiveWorkers(k)
+	workers := e.effectiveWorkers(tau)
 	e.stats = EngineStats{Budget: tau, Workers: workers}
 	e.headVals = nil
 
@@ -84,25 +84,22 @@ func (e *Engine) BatchDeltaDelete(g game.Game, oldSV []float64, points []int, ta
 	dsv := zeroMat(&e.scratch.dsv, k, n)
 
 	start := time.Now()
-	if workers == 1 {
-		wBase := newPrefixWalker(g)
-		wWith := newPrefixWalker(g)
-		perm := reuseInts(e.scratch.perm, c)
-		utils := reuseFloats(e.scratch.utils, c)
-		e.scratch.perm, e.scratch.utils = perm, utils
-		for t := 0; t < tau; t++ {
-			r.Perm(perm)
-			wBase.reset()
-			for pos, idx := range perm {
-				utils[pos] = wBase.add(survivors[idx])
-			}
-			for j := 0; j < k; j++ {
-				batchDeltaDeleteStep(wWith, perm, survivors, utils, uEmpty, uP[j], points[j], c+1, dsv[j])
+	stride := k + 1
+	// Each point's fold is DeltaDelete's inner loop over the survivor game,
+	// with both chains' utilities read from the walked row; denominator
+	// c+1 = n−k+1 is the survivor-game stratification weight.
+	e.walkDeltaRows(g, survivors, points, uP, tau, workers, r, func(perm []int, row []float64) {
+		for j := 0; j < k; j++ {
+			dj := dsv[j]
+			prevNo, prevWith := uEmpty, uP[j]
+			for pos, q := range perm {
+				curNo, curWith := row[pos*stride], row[pos*stride+1+j]
+				dmc := (curWith - curNo) - (prevWith - prevNo)
+				dj[q] -= dmc * float64(pos+1) / float64(c+1)
+				prevNo, prevWith = curNo, curWith
 			}
 		}
-	} else {
-		e.runDeltaDeleteBatchStriped(g, survivors, points, k, tau, r, uEmpty, uP, dsv, workers)
-	}
+	})
 	e.stats.Seconds = time.Since(start).Seconds()
 	e.stats.Issued = tau
 	e.stats.Updates = int64(tau) * int64(k) * int64(c)
@@ -117,102 +114,6 @@ func (e *Engine) BatchDeltaDelete(g game.Game, oldSV []float64, points []int, ta
 		}
 	}
 	return out, nil
-}
-
-// batchDeltaDeleteStep runs one departing point's with-chain over one
-// walked permutation — DeltaDelete's inner loop with the survivor chain's
-// utilities read from the shared buffer instead of re-walked. denom is
-// c+1 = n−k+1, the survivor-game stratification weight.
-func batchDeltaDeleteStep(w *prefixWalker, perm, survivors []int, utils []float64, uEmpty, uP float64, p, denom int, dsv []float64) {
-	w.reset()
-	prevNo := uEmpty
-	prevWith := w.seed(p, uP)
-	for pos, idx := range perm {
-		q := survivors[idx]
-		curNo := utils[pos]
-		curWith := w.add(q)
-		dmc := (curWith - curNo) - (prevWith - prevNo)
-		dsv[q] -= dmc * float64(pos+1) / float64(denom)
-		prevNo, prevWith = curNo, curWith
-	}
-}
-
-// runDeltaDeleteBatchStriped is BatchDeltaDelete's parallel path: the
-// producer samples survivor permutations and walks the shared
-// common-survivor chain into double-buffered chunks (reusing the delta
-// batch slots — the buffers resize per pass); worker w owns the
-// contiguous departing-point stripe jlo ≤ j < jhi and runs only those
-// with-chains. Each dsv[j] is written by exactly one worker in chunk
-// issue order, so every bit matches the serial path.
-func (e *Engine) runDeltaDeleteBatchStriped(g game.Game, survivors, points []int, k, tau int, r *rng.Source, uEmpty float64, uP []float64, dsv [][]float64, workers int) {
-	const depth = 2
-	c := len(survivors)
-	if e.scratch.deltaSlots == nil {
-		e.scratch.deltaSlots = make([]*deltaBatchChunk, depth)
-		for s := range e.scratch.deltaSlots {
-			e.scratch.deltaSlots[s] = &deltaBatchChunk{
-				perms: make([][]int, e.chunk),
-				utils: make([][]float64, e.chunk),
-			}
-		}
-	}
-	slots := e.scratch.deltaSlots
-	for _, ch := range slots {
-		for p := 0; p < e.chunk; p++ {
-			ch.perms[p] = reuseInts(ch.perms[p], c)
-			ch.utils[p] = reuseFloats(ch.utils[p], c)
-		}
-	}
-
-	chans := make([]chan *deltaBatchChunk, workers)
-	var wwg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		chans[wk] = make(chan *deltaBatchChunk, depth)
-		jlo, jhi := wk*k/workers, (wk+1)*k/workers
-		wwg.Add(1)
-		go func(jlo, jhi int, ch chan *deltaBatchChunk) {
-			defer wwg.Done()
-			w := newPrefixWalker(g)
-			for cch := range ch {
-				for p := 0; p < cch.count; p++ {
-					for j := jlo; j < jhi; j++ {
-						batchDeltaDeleteStep(w, cch.perms[p], survivors, cch.utils[p], uEmpty, uP[j], points[j], c+1, dsv[j])
-					}
-				}
-				cch.wg.Done()
-			}
-		}(jlo, jhi, chans[wk])
-	}
-
-	wBase := newPrefixWalker(g)
-	issued := 0
-	for si := 0; issued < tau; si++ {
-		cch := slots[si%depth]
-		cch.wg.Wait()
-		count := e.chunk
-		if rem := tau - issued; rem < count {
-			count = rem
-		}
-		cch.count = count
-		for p := 0; p < count; p++ {
-			perm := cch.perms[p]
-			r.Perm(perm)
-			wBase.reset()
-			u := cch.utils[p]
-			for pos, idx := range perm {
-				u[pos] = wBase.add(survivors[idx])
-			}
-		}
-		cch.wg.Add(workers)
-		for _, ch := range chans {
-			ch <- cch
-		}
-		issued += count
-	}
-	for _, ch := range chans {
-		close(ch)
-	}
-	wwg.Wait()
 }
 
 // deleteSameChunk is one batch of evolved permutations — with their

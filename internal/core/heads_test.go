@@ -297,6 +297,36 @@ func TestBatchDeltaAddHeads(t *testing.T) {
 			bitEqual(t, "batch head "+ws[h].String(), e.HeadValues()[h], ref[h])
 		}
 	}
+
+	// The fused k-NN walk feeds the heads the same rows as one chain per
+	// pending point: the hidden-Prefixer fallback at every worker count.
+	const nk = 12
+	uPlus, hidden := knnBatchPair(t, nk, 3)
+	if game.PivotPrefixOf(uPlus, []int{nk}) == nil || game.PivotPrefixOf(hidden, []int{nk}) != nil {
+		t.Fatal("fixture does not split the fused and fallback walks")
+	}
+	oldK := baseValues(nk)
+	baseK := make([][]float64, len(ws))
+	for h := range baseK {
+		baseK[h] = baseValues(nk)
+	}
+	for _, workers := range []int{1, 2, 3} {
+		var outs [2][]float64
+		var heads [2][][]float64
+		for i, g := range []game.Game{uPlus, hidden} {
+			e := NewEngine(WithWorkers(workers), WithSemivalues(ws...))
+			e.SetHeadBase(baseK)
+			out, err := e.BatchDeltaAdd(g, oldK, 3, 60, rng.New(12))
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs[i], heads[i] = out, e.HeadValues()
+		}
+		bitEqual(t, "k-NN fused vs fallback values", outs[0], outs[1])
+		for h := range ws {
+			bitEqual(t, "k-NN fused vs fallback head "+ws[h].String(), heads[0][h], heads[1][h])
+		}
+	}
 }
 
 // MergeSemivalue must recover linear heads from the deletion store: exactly

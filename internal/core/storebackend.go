@@ -122,13 +122,13 @@ func newBackend(entries, rowLen int, cfg StoreConfig) (storeBackend, error) {
 // dense64 is the historic dense float64 array.
 type dense64 struct{ v []float64 }
 
-func (d *dense64) at(idx int) float64      { return d.v[idx] }
-func (d *dense64) add(idx int, x float64)  { d.v[idx] += x }
-func (d *dense64) logicalBytes() int64     { return int64(len(d.v)) * 8 }
-func (d *dense64) heapBytes() int64        { return d.logicalBytes() }
+func (d *dense64) at(idx int) float64       { return d.v[idx] }
+func (d *dense64) add(idx int, x float64)   { d.v[idx] += x }
+func (d *dense64) logicalBytes() int64      { return int64(len(d.v)) * 8 }
+func (d *dense64) heapBytes() int64         { return d.logicalBytes() }
 func (d *dense64) backendKind() BackendKind { return BackendDense64 }
-func (d *dense64) flush() error            { return nil }
-func (d *dense64) close() error            { return nil }
+func (d *dense64) flush() error             { return nil }
+func (d *dense64) close() error             { return nil }
 
 func (d *dense64) scale(f float64) {
 	for i := range d.v {

@@ -257,7 +257,7 @@ func TestTruncationDeterminism(t *testing.T) {
 	assertBitEqual(t, "truncated MC across workers", b, a)
 
 	plain := NewEngine().MonteCarlo(g, tau, rng.New(9))
-	loose := NewEngine(WithTruncation(n + 5)).MonteCarlo(g, tau, rng.New(9))
+	loose := NewEngine(WithTruncation(n+5)).MonteCarlo(g, tau, rng.New(9))
 	assertBitEqual(t, "truncation ≥ n is the identity", loose, plain)
 }
 

@@ -57,6 +57,76 @@ func PrefixEvaluatorOf(g Game) PrefixEvaluator {
 	return nil
 }
 
+// PivotPrefixEvaluator prices one permutation's prefixes twice over: each
+// prefix S on its own, and S ∪ {v} for every pivot v of a set fixed when
+// the evaluator was built. The delta algorithms difference exactly these
+// pairs along shared permutations, one pivot per pending or departing
+// point, and a game that can derive U(S ∪ {v}) from the state of the chain
+// over S walks one chain instead of one per pivot plus the base. The
+// PrefixEvaluator contract carries over: every value MUST be bit-identical
+// to Value on the same coalition. An evaluator is not safe for concurrent
+// use.
+type PivotPrefixEvaluator interface {
+	// Walk evaluates perm's prefixes, starting from the empty coalition.
+	// With k pivots, row holds len(perm) strides of k+1 values: at position
+	// pos, row[pos*(k+1)] = U(perm[:pos+1]) and row[pos*(k+1)+1+j] =
+	// U(perm[:pos+1] ∪ {pivots[j]}). perm must not contain a pivot.
+	Walk(perm []int, row []float64)
+}
+
+// PivotPrefixer is implemented by games that can hand out pivot-aware
+// prefix evaluators. PivotPrefix may return nil when the capability is
+// unavailable for the game's configuration; callers use PivotPrefixOf.
+type PivotPrefixer interface {
+	// PivotPrefix returns a fresh evaluator for the given pivots, or nil.
+	// It must be safe for concurrent calls.
+	PivotPrefix(pivots []int) PivotPrefixEvaluator
+}
+
+// PivotPrefixOf returns a fresh pivot-aware evaluator for g over the given
+// pivots, or nil if g does not offer one.
+func PivotPrefixOf(g Game, pivots []int) PivotPrefixEvaluator {
+	if p, ok := g.(PivotPrefixer); ok {
+		return p.PivotPrefix(pivots)
+	}
+	return nil
+}
+
+// countedPivot wraps a pivot-aware evaluator, counting the (k+1) utilities
+// it serves per position into a shared counter once per walk: parallel
+// workers walk whole permutations, and one atomic add per step on a shared
+// counter costs them more than the walk saves.
+type countedPivot struct {
+	ev    PivotPrefixEvaluator
+	n     *atomic.Int64
+	width int64
+}
+
+func (c *countedPivot) Walk(perm []int, row []float64) {
+	c.ev.Walk(perm, row)
+	c.n.Add(int64(len(perm)) * c.width)
+}
+
+func countPivots(inner Game, pivots []int, n *atomic.Int64) PivotPrefixEvaluator {
+	ev := PivotPrefixOf(inner, pivots)
+	if ev == nil {
+		return nil
+	}
+	return &countedPivot{ev: ev, n: n, width: int64(len(pivots) + 1)}
+}
+
+// PivotPrefix implements PivotPrefixer by forwarding the inner game's
+// capability; the utilities it serves count as prefix adds.
+func (c *Counting) PivotPrefix(pivots []int) PivotPrefixEvaluator {
+	return countPivots(c.inner, pivots, &c.prefixAdds)
+}
+
+// PivotPrefix implements PivotPrefixer by forwarding the inner game's
+// capability. Like Prefix, walks bypass the cache and count as prefix adds.
+func (c *Cached) PivotPrefix(pivots []int) PivotPrefixEvaluator {
+	return countPivots(c.inner, pivots, &c.store.prefixAdds)
+}
+
 // countedPrefix wraps an evaluator, counting Adds into a shared counter.
 type countedPrefix struct {
 	ev PrefixEvaluator

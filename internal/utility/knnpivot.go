@@ -1,0 +1,378 @@
+package utility
+
+import (
+	"slices"
+	"sort"
+
+	"dynshap/internal/dataset"
+	"dynshap/internal/game"
+)
+
+// knnPivot is the pivot-aware form of knnPrefix (game.PivotPrefixEvaluator):
+// it walks ONE base chain of the KNN utility and prices, at every step, the
+// same prefix with each pivot added — the U(S) / U(S ∪ {v}) pairs the delta
+// algorithms difference — instead of walking one more chain per pivot.
+//
+// Why one chain suffices. Under the (distance, index) order the window of
+// S ∪ {v} at test point t is the base window W_t(S) with v appended while
+// |S| < K, with v in place of W_t(S)'s K-th entry when v sorts before that
+// entry, and W_t(S) itself otherwise. So the two chains' correct counts
+// differ only at the test points whose window v is in, by
+//
+//	C_v = Σ_t [v in window t]·(ok_with − ok_base),
+//
+// and that set only shrinks as S grows: the K-th entry v must beat only
+// moves closer, so once v falls out of window t it never returns. Both
+// factors change only when the base window at t changes, so each step
+// refreshes the pivots only at the test points the entering member changed
+// (dropping the pivots it pushed out for good). U(S ∪ {v}) is then
+// (correct + C_v)/m — soft: (softTotal + C_v)/(K·m) — the same integer over
+// the same denominator a separate chain computes, bit for bit.
+type knnPivot struct {
+	u       *ModelUtility
+	k       int
+	m       int
+	classes int
+	soft    bool
+
+	// Distance source and labels, as in knnPrefix.
+	kernel     *dataset.DistanceKernel
+	scratch    []float64
+	labels     []int32
+	testLabels []int32
+
+	// The base chain, as in knnPrefix: m×k windows with their tails packed
+	// in worst/worstIdx once full, and for the hard vote the m×classes vote
+	// table and per-test correctness. score is the correct count (hard) or
+	// the same-label total (soft).
+	dists    []float64
+	idxs     []int32
+	worst    []float64
+	worstIdx []int32
+	votes    []int32
+	ok       []bool
+	score    int
+
+	// The pivots. order[t*np:(t+1)*np] lists them for test point t from the
+	// last to sort to the first under (distance, index) — the order in which
+	// they leave window t, with their distances in orderDist — so the pivots
+	// still in window t are order[t*np+gone[t] : (t+1)*np].
+	pivots    []int32
+	pLabels   []int32
+	order     []int32
+	orderDist []float64
+	gone      []int32
+
+	// A pivot's term at test point t depends only on its label:
+	// termAt[t*classes+c] is the term of every live pivot of label c there.
+	// corr[j] is C_j; gain is one refresh's scratch.
+	termAt []int32
+	corr   []int
+	gain   []int32
+
+	// values[c] = c/denom for every reachable count c: one table lookup per
+	// served utility in place of a division, with the same bits.
+	values []float64
+}
+
+// PivotPrefix implements game.PivotPrefixer for the KNN trainers
+// (majority-vote and soft), with kernel or Euclidean distances; other
+// trainers return nil, sending callers to one chain per pivot. pivots are
+// training indices that the walked permutations must not contain. Walks
+// train no model; each counts (len(pivots)+1)·len(perm) prefix adds, added
+// once per walk. PivotPrefix is safe for concurrent calls; each returned
+// evaluator must stay on one goroutine.
+func (u *ModelUtility) PivotPrefix(pivots []int) game.PivotPrefixEvaluator {
+	if u.knnK == 0 {
+		return nil
+	}
+	m, np, classes := u.test.Len(), len(pivots), u.train.Classes
+	e := &knnPivot{
+		u:          u,
+		k:          u.knnK,
+		m:          m,
+		classes:    classes,
+		soft:       u.soft,
+		kernel:     u.kernel,
+		labels:     make([]int32, u.train.Len()),
+		testLabels: make([]int32, m),
+		dists:      make([]float64, m*u.knnK),
+		idxs:       make([]int32, m*u.knnK),
+		worst:      make([]float64, m),
+		worstIdx:   make([]int32, m),
+		pivots:     make([]int32, np),
+		pLabels:    make([]int32, np),
+		order:      make([]int32, m*np),
+		orderDist:  make([]float64, m*np),
+		gone:       make([]int32, m),
+		termAt:     make([]int32, m*classes),
+		corr:       make([]int, np),
+		gain:       make([]int32, classes),
+	}
+	for i, p := range u.train.Points {
+		e.labels[i] = int32(p.Y)
+	}
+	for t, p := range u.test.Points {
+		e.testLabels[t] = int32(p.Y)
+	}
+	if e.kernel == nil {
+		e.scratch = make([]float64, m)
+	}
+	pDists := make([][]float64, np) // [pivot][test point]
+	for j, v := range pivots {
+		e.pivots[j] = int32(v)
+		e.pLabels[j] = e.labels[v]
+		pDists[j] = append([]float64(nil), e.column(v)...)
+	}
+	for t := 0; t < m; t++ {
+		ord := e.order[t*np : (t+1)*np]
+		for j := range ord {
+			ord[j] = int32(j)
+		}
+		sort.Slice(ord, func(a, b int) bool {
+			da, db := pDists[ord[a]][t], pDists[ord[b]][t]
+			return da > db || (da == db && e.pivots[ord[a]] > e.pivots[ord[b]])
+		})
+		for a, j := range ord {
+			e.orderDist[t*np+a] = pDists[j][t]
+		}
+	}
+	denom := m
+	if e.soft {
+		denom = e.k * m
+	} else {
+		e.votes = make([]int32, m*classes)
+		e.ok = make([]bool, m)
+	}
+	e.values = []float64{0} // m = 0: every utility is 0, as in Add
+	if m > 0 {
+		e.values = make([]float64, denom+1)
+		for c := range e.values {
+			e.values[c] = float64(c) / float64(denom)
+		}
+	}
+	return e
+}
+
+// column returns the distances from training point p to every test point:
+// a kernel column, or Euclidean calls into scratch (identical bits).
+func (e *knnPivot) column(p int) []float64 {
+	if e.kernel != nil {
+		return e.kernel.Col(p)
+	}
+	px := e.u.train.Points[p].X
+	for t := range e.scratch {
+		e.scratch[t] = dataset.Euclidean(e.u.test.Points[t].X, px)
+	}
+	return e.scratch
+}
+
+// Walk implements game.PivotPrefixEvaluator.
+func (e *knnPivot) Walk(perm []int, row []float64) {
+	e.reset()
+	stride := len(e.pivots) + 1
+	for pos, p := range perm {
+		e.add(p, pos)
+		out := row[pos*stride : (pos+1)*stride]
+		out[0] = e.values[e.score]
+		for j, c := range e.corr {
+			out[1+j] = e.values[e.score+c]
+		}
+	}
+	e.u.prefixAdds.Add(int64(len(perm) * stride))
+}
+
+// reset empties the base chain and puts every pivot back in every window,
+// with term 0: C_j = 0 on the empty prefix.
+func (e *knnPivot) reset() {
+	e.score = 0
+	clear(e.votes)
+	clear(e.ok)
+	clear(e.gone)
+	clear(e.termAt)
+	clear(e.corr)
+}
+
+// add inserts training point p into the base chain, whose size before the
+// insertion is size. Window maintenance is knnPrefix.Add's: the same
+// (distance, index) order, and once windows are full the same packed-tail
+// test rejects p at most test points on two sequential loads.
+func (e *knnPivot) add(p, size int) {
+	col := e.column(p)
+	wlen := min(size, e.k)
+	if wlen < e.k {
+		for t, d := range col {
+			e.enter(t, p, wlen, d)
+		}
+		return
+	}
+	idx := int32(p)
+	worst, worstIdx := e.worst[:len(col)], e.worstIdx[:len(col)]
+	for t, d := range col {
+		if d > worst[t] || (d == worst[t] && idx > worstIdx[t]) {
+			continue
+		}
+		e.enter(t, p, wlen, d)
+	}
+}
+
+// enter puts training point p, at distance d, into window t of length
+// wlen — displacing the tail when the window is full — updates the
+// chain's score, and refreshes the pivots still in window t.
+func (e *knnPivot) enter(t, p, wlen int, d float64) {
+	k, idx := e.k, int32(p)
+	row := t * k
+	pos := wlen
+	dLabel := int32(-1) // the displaced member's label, −1 for none
+	if wlen == k {
+		dLabel = e.labels[e.idxs[row+k-1]]
+		pos = k - 1
+	}
+	for pos > 0 && (e.dists[row+pos-1] > d || (e.dists[row+pos-1] == d && e.idxs[row+pos-1] > idx)) {
+		e.dists[row+pos] = e.dists[row+pos-1]
+		e.idxs[row+pos] = e.idxs[row+pos-1]
+		pos--
+	}
+	e.dists[row+pos] = d
+	e.idxs[row+pos] = idx
+	full := wlen+1 >= k
+	if full {
+		e.worst[t], e.worstIdx[t] = e.dists[row+k-1], e.idxs[row+k-1]
+	}
+	e.score += e.scoreChange(t, e.labels[p], dLabel)
+	if int(e.gone[t]) < len(e.pivots) {
+		e.refresh(t, full)
+	}
+}
+
+// scoreChange applies the base window change {+pLabel, −dLabel} (no
+// removal when dLabel is −1) at test point t and returns the change in the
+// chain's score. Integer bookkeeping, as in knnPrefix.tally and softTally.
+func (e *knnPivot) scoreChange(t int, pLabel, dLabel int32) int {
+	if e.soft {
+		y, delta := e.testLabels[t], 0
+		if pLabel == y {
+			delta++
+		}
+		if dLabel == y {
+			delta--
+		}
+		return delta
+	}
+	if pLabel == dLabel {
+		return 0 // a same-label swap leaves the vote row as it was
+	}
+	v := e.votes[t*e.classes : (t+1)*e.classes]
+	v[pLabel]++
+	if dLabel >= 0 {
+		v[dLabel]--
+	}
+	best, _ := argmax(v, -1)
+	ok := best == e.testLabels[t]
+	if ok == e.ok[t] {
+		return 0
+	}
+	e.ok[t] = ok
+	if ok {
+		return 1
+	}
+	return -1
+}
+
+// refresh brings the live pivots' terms at test point t up to date after
+// its base window changed. Pivots that no longer sort before the window's
+// K-th entry leave window t for good, giving back their term; the rest
+// move by their label's change in term.
+func (e *knnPivot) refresh(t int, full bool) {
+	np := len(e.pivots)
+	base := t * np
+	gone := int(e.gone[t])
+	term := e.termAt[t*e.classes : (t+1)*e.classes]
+	tailLabel := int32(-1)
+	if full {
+		tailDist, tailIdx := e.worst[t], e.worstIdx[t]
+		tailLabel = e.labels[tailIdx]
+		for ; gone < np; gone++ {
+			j := e.order[base+gone]
+			d := e.orderDist[base+gone]
+			if d < tailDist || (d == tailDist && e.pivots[j] < tailIdx) {
+				break
+			}
+			e.corr[j] -= int(term[e.pLabels[j]])
+		}
+		e.gone[t] = int32(gone)
+		if gone == np {
+			return
+		}
+	}
+	e.gains(t, tailLabel)
+	if slices.Equal(e.gain, term) {
+		return
+	}
+	for _, j := range e.order[base+gone : base+np] {
+		c := e.pLabels[j]
+		e.corr[j] += int(e.gain[c] - term[c])
+	}
+	copy(term, e.gain)
+}
+
+// gains fills e.gain[c] with the term a pivot of label c earns at test
+// point t: its window is the base window plus c, minus tailLabel when the
+// base window is full (tailLabel ≥ 0). Hard vote: correctness of that
+// window's vote minus the base's; soft: the change in same-label members.
+func (e *knnPivot) gains(t int, tailLabel int32) {
+	y := e.testLabels[t]
+	if e.soft {
+		lost := int32(0)
+		if tailLabel == y {
+			lost = 1
+		}
+		for c := range e.gain {
+			e.gain[c] = -lost
+			if int32(c) == y {
+				e.gain[c]++
+			}
+		}
+		return
+	}
+	v := e.votes[t*e.classes : (t+1)*e.classes]
+	base := int32(0)
+	if e.ok[t] {
+		base = 1
+	}
+	// Without the tail's vote, b leads with wb votes; a pivot of label c
+	// wins the vote exactly when its one vote lifts c past b, or level with
+	// b and c is the smaller label.
+	b, wb := argmax(v, tailLabel)
+	for c := range e.gain {
+		x := v[c]
+		if int32(c) == tailLabel {
+			x--
+		}
+		win := b
+		if int32(c) == b || x+1 > wb || (x+1 == wb && int32(c) < b) {
+			win = int32(c)
+		}
+		g := int32(0)
+		if win == y {
+			g = 1
+		}
+		e.gain[c] = g - base
+	}
+}
+
+// argmax returns the label with the most votes in v, one vote taken from
+// label minus (−1: none), ties toward the smaller label — the scratch
+// classifier's rule — and its vote count.
+func argmax(v []int32, minus int32) (best, votes int32) {
+	best = -1
+	for c, x := range v {
+		if int32(c) == minus {
+			x--
+		}
+		if best < 0 || x > votes {
+			best, votes = int32(c), x
+		}
+	}
+	return best, votes
+}
