@@ -11,12 +11,16 @@ build:
 
 # lint first, then the full suite, then a race pass over the packages with
 # concurrent internals: the parallel estimators, the sharded coalition
-# cache, the exact k-NN estimator's column-striped workers, and the root
-# package's versioned session store (non-blocking reads racing live
-# updates).
+# cache, the exact k-NN estimator's column-striped workers, the fused k-NN
+# evaluators built per walker goroutine, the write coalescer, the HTTP
+# server, and the root package's versioned session store (non-blocking
+# reads racing live updates). Last, the benchmark: perfbench is its own
+# module, so `go test ./...` above never compiles it.
 test: lint
 	$(GO) test ./...
-	$(GO) test -race . ./internal/core/... ./internal/exact/... ./internal/game/...
+	$(GO) test -race . ./internal/core/... ./internal/exact/... ./internal/game/... \
+		./internal/utility/... ./internal/coalesce/... ./internal/serve/...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # go vet always runs; staticcheck and govulncheck run when installed (the
 # build stays tool-download-free, so they are optional extras, not gates).

@@ -74,7 +74,8 @@ func TestSessionBatchPivotMatchesSequential(t *testing.T) {
 // the shared chain and all k points, so it serves (k+1) utilities per
 // walked position — the points' own U({v}) come from the Value calls that
 // price them — and the session's counter, exact when the walk returns,
-// matches the journal record at every worker count.
+// matches the journal record at every worker count. Single-point Delta
+// updates run the same walk at k = 1.
 func TestSessionBatchDeltaPrefixAddAccounting(t *testing.T) {
 	const n, k, tau = 14, 4, 25
 	pts := batchTestPoints(k, 4)
@@ -91,6 +92,10 @@ func TestSessionBatchDeltaPrefixAddAccounting(t *testing.T) {
 		}{
 			{"add", func() error { _, err := s.Add(pts, AlgoDeltaBatch); return err }, (k + 1) * n * tau},
 			{"delete", func() error { _, err := s.Delete(indices, AlgoDeltaBatch); return err }, int64((k + 1) * (n + k - len(indices)) * tau)},
+			// Single-point Delta is the k = 1 walk: 2·n per permutation
+			// on the n-player base, the pivot's seed included in neither.
+			{"single add", func() error { _, err := s.Add(pts[:1], AlgoDelta); return err }, 2 * n * tau},
+			{"single delete", func() error { _, err := s.Delete([]int{5}, AlgoDelta); return err }, 2 * n * tau},
 		} {
 			before := s.PrefixAdds()
 			if err := w.run(); err != nil {

@@ -175,6 +175,19 @@ func TestDeltaAddShapleyOnGame(t *testing.T) {
 	if m := dynshap.MSE(got, want); m > 1e-3 {
 		t.Fatalf("DeltaAdd on game MSE = %v (got %v, want %v)", m, got, want)
 	}
+	// Workers only price prefixes; one goroutine folds them in order, so
+	// the parallel form returns the serial values at every worker count.
+	for _, workers := range []int{1, 2, 3} {
+		par, err := dynshap.DeltaAddShapleyParallel(grown, oldSV, 30000, workers, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if par[i] != got[i] {
+				t.Fatalf("workers=%d: value %d = %v, serial %v", workers, i, par[i], got[i])
+			}
+		}
+	}
 }
 
 func TestDeltaDeleteShapleyOnGame(t *testing.T) {

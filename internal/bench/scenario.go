@@ -212,10 +212,11 @@ func (r *Runner) runAdd(name string, sc *scenario, prods *initProducts, added []
 		sv = append([]float64(nil), prods.res.Pivot.SV...)
 		cur := sc.util
 		cache := forked
+		e := core.NewEngine(core.WithWorkers(1))
 		for _, p := range added {
 			next := cur.Append(p)
 			g := game.NewCachedShared(next, cache)
-			sv, err = core.DeltaAdd(g, sv, tau, rnd)
+			sv, err = e.BatchDeltaAdd(g, sv, 1, tau, rnd)
 			if err != nil {
 				return nil, m, err
 			}
@@ -301,9 +302,10 @@ func (r *Runner) runDelete(name string, sc *scenario, prods *initProducts, delet
 		cur := expanded
 		var gone []int
 		rg := g
+		e := core.NewEngine(core.WithWorkers(1))
 		for _, orig := range deleted {
 			ri := indexOf(alive, orig)
-			cur, err = core.DeltaDelete(rg, cur, ri, tau, rnd)
+			cur, err = e.BatchDeltaDelete(rg, cur, []int{ri}, tau, rnd)
 			if err != nil {
 				return nil, m, err
 			}

@@ -35,7 +35,7 @@ func checkBatchAdd(gPlus game.Game, n, k int) error {
 // addition: k independent Algorithm-5 estimates against the FIXED n-player
 // base, sharing one permutation stream. The permutations are pre-drawn
 // exactly as the batched walk draws them (PermN consumes the same values
-// Perm does), then each pending point j = 0..k−1 runs the full DeltaAdd
+// Perm does), then each pending point j = 0..k−1 runs Algorithm 5's full
 // two-walker pass over all of them and folds its contribution into the
 // output in arrival order.
 //
@@ -44,8 +44,8 @@ func checkBatchAdd(gPlus game.Game, n, k int) error {
 // containing points 0..j−1, and later deltas adjust the earlier arrivals'
 // fresh values). The batch form values every pending point against the
 // shared pre-batch base — that is what lets one permutation pass serve all
-// k points. At k = 1 the two notions coincide and this function is
-// bit-identical to DeltaAdd.
+// k points. At k = 1 the two notions coincide: this function is then
+// Algorithm 5's two-walker loop, the reference for single-point updates.
 func BatchDeltaAddSeq(gPlus game.Game, oldSV []float64, k, tau int, r *rng.Source) ([]float64, error) {
 	n := len(oldSV)
 	if err := checkBatchAdd(gPlus, n, k); err != nil {
@@ -75,7 +75,7 @@ func BatchDeltaAddSeq(gPlus game.Game, oldSV []float64, k, tau int, r *rng.Sourc
 			wWith.reset()
 			prevNo := uEmpty
 			prevWith := wWith.seed(pivot, uPivot)
-			newSV += prevWith - prevNo // S=∅ stratum, as in DeltaAdd
+			newSV += prevWith - prevNo // S=∅ stratum of the new point's value
 			for pos, p := range perm {
 				curNo := wNo.add(p)
 				curWith := wWith.add(p)
@@ -122,7 +122,7 @@ func checkBatchDelete(n int, points []int) error {
 // pre-batch game, sharing one permutation stream drawn over the COMMON
 // survivors (the n−k players departing in no removal). The permutations
 // are pre-drawn exactly as the batched walk draws them, then each
-// departing point j runs the full DeltaDelete two-walker pass over all of
+// departing point j runs Algorithm 8's full two-walker pass over all of
 // them and folds its (negated) contribution into the output in arrival
 // order. Removed players report 0 (the paper's convention).
 //
@@ -130,7 +130,8 @@ func checkBatchDelete(n int, points []int) error {
 // session's historic per-point loop — which re-bases after every removal,
 // shrinking the survivor pool one step at a time — but both are unbiased
 // for the same target, and at k = 1 the two notions coincide: this
-// function is then bit-identical to DeltaDelete, RNG consumption included.
+// function is then Algorithm 8's two-walker loop, the reference for
+// single-point updates.
 func BatchDeltaDeleteSeq(g game.Game, oldSV []float64, points []int, tau int, r *rng.Source) ([]float64, error) {
 	n := g.N()
 	if len(oldSV) != n {
@@ -146,7 +147,7 @@ func BatchDeltaDeleteSeq(g game.Game, oldSV []float64, points []int, tau int, r 
 	out := make([]float64, n)
 	if k == n {
 		// Every player leaves: nothing survives to estimate, consume no
-		// randomness (DeltaDelete's n == 1 convention, generalised).
+		// randomness.
 		return out, nil
 	}
 	survivors := batchSurvivors(n, points)
@@ -175,7 +176,7 @@ func BatchDeltaDeleteSeq(g game.Game, oldSV []float64, points []int, tau int, r 
 				curWith := wWith.add(q)
 				dmc := (curWith - curNo) - (prevWith - prevNo)
 				// Stratified weight (|S|+1)/(c+1) over the common-survivor
-				// game; at k = 1, c+1 = n — DeltaDelete's weight exactly.
+				// game; at k = 1, c+1 = n — Lemma 2's deletion weight.
 				dsv[q] -= dmc * float64(pos+1) / float64(c+1)
 				prevNo, prevWith = curNo, curWith
 			}

@@ -55,30 +55,27 @@ func TestBatchDeltaDeleteMatchesSequentialReference(t *testing.T) {
 	}
 }
 
+// At k = 1 the sequential reference is Algorithm 8's two-walker loop, and
+// the batched walk — the session's single-point Delta — must reproduce it
+// on the fused and the fallback walks at every worker count.
 func TestBatchDeltaDeleteK1MatchesDeltaDelete(t *testing.T) {
 	const n, tau, p = 12, 30, 4
-	u, _ := knnPair(t, n)
+	u, hidden := knnPair(t, n)
 	oldSV := baseValues(n)
 
-	want, err := DeltaDelete(u, oldSV, p, tau, rng.New(5))
+	want, err := BatchDeltaDeleteSeq(u, oldSV, []int{p}, tau, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := BatchDeltaDeleteSeq(u, oldSV, []int{p}, tau, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{1, 2, 3} {
+		for _, g := range []game.Game{u, hidden} {
+			got, err := NewEngine(WithWorkers(workers)).BatchDeltaDelete(g, oldSV, []int{p}, tau, rng.New(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameSlice(t, "engine vs DeltaDelete", got, want)
+		}
 	}
-	sameSlice(t, "seq vs DeltaDelete", seq, want)
-	got, err := NewEngine().BatchDeltaDelete(u, oldSV, []int{p}, tau, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSlice(t, "engine vs DeltaDelete", got, want)
-	gotE, err := NewEngine().DeltaDelete(u, oldSV, p, tau, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSlice(t, "engine DeltaDelete vs batch", gotE, got)
 }
 
 func TestBatchDeltaDeleteEveryPlayer(t *testing.T) {

@@ -80,30 +80,27 @@ func TestBatchDeltaAddMatchesSequentialReference(t *testing.T) {
 	}
 }
 
+// At k = 1 the sequential reference is Algorithm 5's two-walker loop, and
+// the batched walk — the session's single-point Delta — must reproduce it
+// on the fused and the fallback walks at every worker count.
 func TestBatchDeltaAddK1MatchesDeltaAdd(t *testing.T) {
 	const n, tau = 12, 30
-	uPlus, _ := knnBatchPair(t, n, 1)
+	uPlus, hidden := knnBatchPair(t, n, 1)
 	oldSV := baseValues(n)
 
-	want, err := DeltaAdd(uPlus, oldSV, tau, rng.New(5))
+	want, err := BatchDeltaAddSeq(uPlus, oldSV, 1, tau, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := BatchDeltaAddSeq(uPlus, oldSV, 1, tau, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{1, 2, 3} {
+		for _, g := range []game.Game{uPlus, hidden} {
+			got, err := NewEngine(WithWorkers(workers)).BatchDeltaAdd(g, oldSV, 1, tau, rng.New(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameSlice(t, "engine vs DeltaAdd", got, want)
+		}
 	}
-	sameSlice(t, "seq vs DeltaAdd", seq, want)
-	got, err := NewEngine().BatchDeltaAdd(uPlus, oldSV, 1, tau, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSlice(t, "engine vs DeltaAdd", got, want)
-	gotE, err := NewEngine().DeltaAdd(uPlus, oldSV, tau, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSlice(t, "engine DeltaAdd vs batch", gotE, got)
 }
 
 // pivotFixture builds a keepPerms pivot state over the n-player base and

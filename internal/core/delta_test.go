@@ -10,11 +10,21 @@ import (
 	"dynshap/internal/stat"
 )
 
+// deltaAdd and deltaDelete are the single-point delta passes (Algorithms 5
+// and 8): the batched walks at k = 1 on a one-walker engine.
+func deltaAdd(gPlus game.Game, oldSV []float64, tau int, r *rng.Source) ([]float64, error) {
+	return NewEngine(WithWorkers(1)).BatchDeltaAdd(gPlus, oldSV, 1, tau, r)
+}
+
+func deltaDelete(g game.Game, oldSV []float64, p, tau int, r *rng.Source) ([]float64, error) {
+	return NewEngine(WithWorkers(1)).BatchDeltaDelete(g, oldSV, []int{p}, tau, r)
+}
+
 func TestDeltaAddMatchesExact(t *testing.T) {
 	gPlus := tableGame{n: 7, seed: 41}
 	gD := restrictFirst(gPlus, 6)
 	oldSV := Exact(gD)
-	got, err := DeltaAdd(gPlus, oldSV, 30000, rng.New(1))
+	got, err := deltaAdd(gPlus, oldSV, 30000, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +40,7 @@ func TestDeltaAddNewPointUnbiased(t *testing.T) {
 	gPlus := tableGame{n: 6, seed: 42}
 	gD := restrictFirst(gPlus, 5)
 	oldSV := Exact(gD)
-	got, err := DeltaAdd(gPlus, oldSV, 50000, rng.New(2))
+	got, err := deltaAdd(gPlus, oldSV, 50000, rng.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +59,11 @@ func TestDeltaAddPropagatesOldError(t *testing.T) {
 	for i := range shifted {
 		shifted[i] = oldSV[i] + 0.1
 	}
-	a, err := DeltaAdd(gPlus, oldSV, 2000, rng.New(3))
+	a, err := deltaAdd(gPlus, oldSV, 2000, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DeltaAdd(gPlus, shifted, 2000, rng.New(3))
+	b, err := deltaAdd(gPlus, shifted, 2000, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +76,10 @@ func TestDeltaAddPropagatesOldError(t *testing.T) {
 
 func TestDeltaAddValidation(t *testing.T) {
 	gPlus := tableGame{n: 5, seed: 44}
-	if _, err := DeltaAdd(gPlus, make([]float64, 3), 10, rng.New(4)); err == nil {
+	if _, err := deltaAdd(gPlus, make([]float64, 3), 10, rng.New(4)); err == nil {
 		t.Fatal("size mismatch should fail")
 	}
-	if _, err := DeltaAdd(gPlus, make([]float64, 4), 0, rng.New(4)); err == nil {
+	if _, err := deltaAdd(gPlus, make([]float64, 4), 0, rng.New(4)); err == nil {
 		t.Fatal("τ=0 should fail")
 	}
 }
@@ -78,7 +88,7 @@ func TestDeltaDeleteMatchesExact(t *testing.T) {
 	g := tableGame{n: 7, seed: 45}
 	oldSV := Exact(g)
 	for _, p := range []int{0, 3, 6} {
-		got, err := DeltaDelete(g, oldSV, p, 30000, rng.New(uint64(p+5)))
+		got, err := deltaDelete(g, oldSV, p, 30000, rng.New(uint64(p+5)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,23 +115,23 @@ func TestDeltaDeleteMatchesExact(t *testing.T) {
 func TestDeltaDeleteValidation(t *testing.T) {
 	g := tableGame{n: 4, seed: 46}
 	sv := make([]float64, 4)
-	if _, err := DeltaDelete(g, make([]float64, 3), 0, 10, rng.New(1)); err == nil {
+	if _, err := deltaDelete(g, make([]float64, 3), 0, 10, rng.New(1)); err == nil {
 		t.Fatal("size mismatch should fail")
 	}
-	if _, err := DeltaDelete(g, sv, 4, 10, rng.New(1)); err == nil {
+	if _, err := deltaDelete(g, sv, 4, 10, rng.New(1)); err == nil {
 		t.Fatal("out-of-range point should fail")
 	}
-	if _, err := DeltaDelete(g, sv, -1, 10, rng.New(1)); err == nil {
+	if _, err := deltaDelete(g, sv, -1, 10, rng.New(1)); err == nil {
 		t.Fatal("negative point should fail")
 	}
-	if _, err := DeltaDelete(g, sv, 0, 0, rng.New(1)); err == nil {
+	if _, err := deltaDelete(g, sv, 0, 0, rng.New(1)); err == nil {
 		t.Fatal("τ=0 should fail")
 	}
 }
 
 func TestDeltaDeleteSinglePlayerGame(t *testing.T) {
 	g := tableGame{n: 1, seed: 47}
-	got, err := DeltaDelete(g, []float64{0.4}, 0, 10, rng.New(1))
+	got, err := deltaDelete(g, []float64{0.4}, 0, 10, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +172,7 @@ func TestDeltaAddNeedsFewerSamplesThanMC(t *testing.T) {
 	var mseDelta, mseMC float64
 	for rep := 0; rep < reps; rep++ {
 		seed := uint64(1000 + rep)
-		d, err := DeltaAdd(gPlus, oldSV, tau, rng.New(seed))
+		d, err := deltaAdd(gPlus, oldSV, tau, rng.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,11 +196,11 @@ func TestDeltaAddThenDeleteRoundTrip(t *testing.T) {
 	gPlus := tableGame{n: 6, seed: 48}
 	gD := restrictFirst(gPlus, 5)
 	oldSV := Exact(gD)
-	afterAdd, err := DeltaAdd(gPlus, oldSV, 20000, rng.New(9))
+	afterAdd, err := deltaAdd(gPlus, oldSV, 20000, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	afterDel, err := DeltaDelete(gPlus, afterAdd, 5, 20000, rng.New(10))
+	afterDel, err := deltaDelete(gPlus, afterAdd, 5, 20000, rng.New(10))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,14 +17,15 @@ import (
 //
 // Two passes, one per addition family:
 //
-//   - BatchDeltaAdd shares the no-pivot chain. The per-point DeltaAdd pays
-//     two prefix walks per permutation (with and without the new point),
-//     but the without-chain is the SAME walk for every pending point, so
-//     each permutation is walked into one row of (k+1)·n utilities: the
-//     shared chain plus the k with-chains. A game that offers a pivot-aware
-//     evaluator (game.PivotPrefixer: the KNN utilities) derives all k
-//     with-chains from the shared chain's state in one walk; any other game
-//     walks them one by one through prefixWalker.
+//   - BatchDeltaAdd shares the no-pivot chain. A single-point delta
+//     addition pays two prefix walks per permutation (with and without the
+//     new point), but the without-chain is the SAME walk for every pending
+//     point, so each permutation is walked into one row of (k+1)·n
+//     utilities: the shared chain plus the k with-chains. A game that
+//     offers a pivot-aware evaluator (game.PivotPrefixer: the KNN
+//     utilities) derives all k with-chains from the shared chain's state
+//     in one walk; any other game walks them one by one through
+//     prefixWalker.
 //
 //   - BatchAddSame shares the stored-permutation evolution. The producer
 //     threads each stored permutation through all k pivot insertions
@@ -46,17 +47,19 @@ import (
 // bit-identical to their batch.go references — and, for the pivot form, to
 // the session's historic per-point AddSame loop — at any worker count.
 //
-// Neither pass supports adaptive early termination: the stopping decision
-// would couple the k points' budgets (they share permutations), so a
-// batch always spends its full τ. Stats report Issued == Budget.
+// A single-point update is the delta form at k = 1, and only there does
+// adaptive early termination (WithTargetError) apply: the producer checks
+// the stop rule after each in-order fold. At k > 1 the stopping decision
+// would couple the k points' budgets (they share permutations), so a batch
+// spends its full τ, as does every pivot pass; Stats report Issued ==
+// Budget.
 
 // batchScratch holds the batched walks' cached buffers (see the Engine
 // field's doc for the ownership argument).
 type batchScratch struct {
-	dsv   [][]float64
-	rsv   [][]float64
-	dlsv  [][]float64
-	steps []pivotBatchStep
+	dsv  [][]float64
+	rsv  [][]float64
+	dlsv [][]float64
 
 	deltaSlots []*deltaSlot
 	pivotSlots []*pivotBatchChunk
@@ -109,8 +112,27 @@ func zeroMat(dst *[][]float64, k, n int) [][]float64 {
 // pre-batch values. It returns n+k entries: every original player's value
 // adjusted by the k points' summed deltas (folded in arrival order), and
 // one fresh estimate per pending point. Bit-identical to BatchDeltaAddSeq
-// for the same seed at every worker count; at k = 1 bit-identical to
-// DeltaAdd.
+// for the same seed at every worker count.
+//
+// At k = 1 it is Algorithm 5, the single-point delta addition: instead of
+// re-estimating absolute Shapley values it estimates the *change* ∆SV_i of
+// every original player caused by the new point, by sampling differential
+// marginal contributions
+//
+//	DMC(S, i) = [U(S∪{z_new}∪{z_i}) − U(S∪{z_i})] − [U(S∪{z_new}) − U(S)],
+//
+// whose range d is typically far smaller than the range r of raw marginal
+// contributions; by Hoeffding's inequality (Theorem 2) the same accuracy
+// then needs a factor (d/r)² fewer permutations. Only there does the pass
+// honour WithTargetError, stopping once the bound certifies every
+// player's change — and the new point's value — within eps.
+//
+// Deviation from the paper's pseudocode: Algorithm 5 (line 8) estimates the
+// new point's own value by averaging its marginal contributions over prefix
+// sizes 1..n with weight 1/n, which both skips the S=∅ stratum and
+// mis-normalises Eq. (2); we include the empty stratum and divide by n+1,
+// which makes the estimator unbiased (verified against exact enumeration in
+// the tests).
 func (e *Engine) BatchDeltaAdd(gPlus game.Game, oldSV []float64, k, tau int, r *rng.Source) ([]float64, error) {
 	n := len(oldSV)
 	if err := checkBatchAdd(gPlus, n, k); err != nil {
@@ -150,11 +172,19 @@ func (e *Engine) BatchDeltaAdd(gPlus game.Game, oldSV []float64, k, tau int, r *
 		}
 	}
 
+	// A single point may stop early (WithTargetError). At k > 1 the points
+	// share permutations, so one certificate would cut every point's budget:
+	// the pass spends its full τ.
+	var trk *adaptiveTracker
+	if e.adaptive() && k == 1 {
+		trk = newAdaptiveTracker(m, e.eps, e.delta)
+	}
+
 	start := time.Now()
 	stride := k + 1
-	// Each point's fold is DeltaAdd's inner loop, with both chains' utilities
-	// read from the walked row.
-	e.walkDeltaRows(gPlus, players, pivots, uPivot, tau, workers, r, func(perm []int, row []float64) {
+	// Each point's fold is the single-point walk's inner loop, with both
+	// chains' utilities read from the walked row.
+	issued := e.walkDeltaRows(gPlus, players, pivots, uPivot, tau, workers, trk, r, func(perm []int, row []float64) {
 		for j := 0; j < k; j++ {
 			var hs *addHeadSums
 			if hsums != nil {
@@ -179,18 +209,21 @@ func (e *Engine) BatchDeltaAdd(gPlus game.Game, oldSV []float64, k, tau int, r *
 				prevNo, prevWith = curNo, curWith
 			}
 		}
+		if trk != nil {
+			observeDeltaAdd(trk, perm, row, uEmpty, uPivot[0])
+		}
 	})
 	e.stats.Seconds = time.Since(start).Seconds()
-	e.stats.Issued = tau
-	e.stats.Updates = int64(tau) * int64(k) * int64(n)
+	e.finishDeltaStats(trk, issued, tau)
+	e.stats.Updates = int64(issued) * int64(k) * int64(n)
 
 	out := make([]float64, m)
 	copy(out, oldSV)
 	for j := 0; j < k; j++ {
 		for i := 0; i < n; i++ {
-			out[i] += dsv[j][i] / float64(tau)
+			out[i] += dsv[j][i] / float64(issued)
 		}
-		out[n+j] = newSV[j] / float64(tau) / float64(n+1)
+		out[n+j] = newSV[j] / float64(issued) / float64(n+1)
 	}
 	if hsums != nil {
 		hv := make([][]float64, len(e.heads))
@@ -201,15 +234,44 @@ func (e *Engine) BatchDeltaAdd(gPlus game.Game, oldSV []float64, k, tau int, r *
 			}
 			for j := 0; j < k; j++ {
 				for i := 0; i < n; i++ {
-					vals[i] += hsums[j].sums[h][i] / float64(tau)
+					vals[i] += hsums[j].sums[h][i] / float64(issued)
 				}
-				vals[n+j] = hsums[j].pivot[h] / float64(tau)
+				vals[n+j] = hsums[j].pivot[h] / float64(issued)
 			}
 			hv[h] = vals
 		}
 		e.headVals = hv
 	}
 	return out, nil
+}
+
+// observeDeltaAdd feeds one walked row of a single-point addition to the
+// adaptive tracker: each old player's weighted differential contribution,
+// then one observation whose mean is the new point's value. It re-reads
+// the row the fold just used, so the fold loop carries no tracker work.
+func observeDeltaAdd(trk *adaptiveTracker, perm []int, row []float64, uEmpty, uPivot float64) {
+	n := len(perm)
+	prevNo, prevWith := uEmpty, uPivot
+	permNew := prevWith - prevNo
+	for pos, p := range perm {
+		curNo, curWith := row[pos*2], row[pos*2+1]
+		dmc := (curWith - curNo) - (prevWith - prevNo)
+		trk.observe(p, dmc*float64(pos+1)/float64(n+1))
+		permNew += curWith - curNo
+		prevNo, prevWith = curNo, curWith
+	}
+	trk.observe(n, permNew/float64(n+1))
+	trk.endSample()
+}
+
+// finishDeltaStats records how a delta pass of budget tau ended after
+// issued permutations.
+func (e *Engine) finishDeltaStats(trk *adaptiveTracker, issued, tau int) {
+	e.stats.Issued = issued
+	e.stats.EarlyStop = issued < tau
+	if trk != nil {
+		e.stats.Bound = trk.lastBound
+	}
 }
 
 // deltaSlot is one permutation in flight through walkDeltaRows: drawn by
@@ -239,6 +301,15 @@ const slotsPerWorker = 4
 // sequential references use, so the result is bit-identical at any worker
 // count.
 //
+// trk is the adaptive stop rule (nil when off): fold observes each row into
+// it, and the producer checks the rule after every fold, so the pass stops
+// after the same permutation at any worker count. walkDeltaRows returns the
+// number of permutations folded — tau unless the rule fired. On a stop the
+// producer first collects the rows still in flight, so no slot's
+// completion signal carries over into the engine's next pass; r is then
+// left past the folded permutations by those rows' draws, so callers hand
+// in a source they do not reuse.
+//
 // The producer is itself one of the walkers: it starts workers−1
 // helpers and, while the row it must fold next is still being walked,
 // walks the oldest queued permutation instead of waiting. So no more
@@ -247,11 +318,11 @@ const slotsPerWorker = 4
 // walkers for a processor.
 //
 // On a game without a pivot-aware evaluator whose utilities come from
-// scratch Value calls behind a shared cache, two walkers may both miss on a
-// coalition their permutations share (a prefix's first members), so the
-// training count — never a value — can vary between runs at workers > 1,
-// as in MonteCarloParallel.
-func (e *Engine) walkDeltaRows(g game.Game, players, pivots []int, uPivot []float64, tau, workers int, r *rng.Source, fold func(perm []int, row []float64)) {
+// scratch Value calls behind a shared game.Cached, two walkers may miss on
+// a coalition their permutations share (a prefix's first members); the
+// cache computes it once and the other waits, so the training count does
+// not depend on the worker count either.
+func (e *Engine) walkDeltaRows(g game.Game, players, pivots []int, uPivot []float64, tau, workers int, trk *adaptiveTracker, r *rng.Source, fold func(perm []int, row []float64)) int {
 	slots := e.deltaSlots(min(tau, workers*slotsPerWorker), len(players), len(players)*(len(pivots)+1))
 	work := make(chan *deltaSlot, len(slots)) // never more sends in flight than slots
 	var wg sync.WaitGroup
@@ -277,16 +348,25 @@ func (e *Engine) walkDeltaRows(g game.Game, players, pivots []int, uPivot []floa
 		draw(s)
 	}
 	own := pivotRows(g, pivots, uPivot)
+	issued := tau
 	for t := 0; t < tau; t++ {
 		s := slots[t%len(slots)] // holds permutation t
 		awaitRow(s, work, own)
 		fold(s.perm, s.row)
+		if e.stopNow(trk, t+1, tau) {
+			issued = t + 1
+			for u := issued; u < min(t+len(slots), tau); u++ {
+				awaitRow(slots[u%len(slots)], work, own)
+			}
+			break
+		}
 		if t+len(slots) < tau {
 			draw(s)
 		}
 	}
 	close(work)
 	wg.Wait()
+	return issued
 }
 
 // awaitRow returns once s's row is walked, walking queued permutations
@@ -406,28 +486,15 @@ func (e *Engine) BatchAddSame(st *PivotState, gPlus game.Game, k int, rs []*rng.
 
 	rsv := zeroMat(&e.scratch.rsv, k, m)
 	dlsv := zeroMat(&e.scratch.dlsv, k, m)
-	probe := newPrefixWalker(gPlus)
 	var uEmpty float64
-	if probe.incremental() {
+	if game.PrefixEvaluatorOf(gPlus) != nil {
 		uEmpty = gPlus.Value(bitset.New(m))
 	}
 
 	start := time.Now()
-	var updates int64
-	if workers == 1 {
-		steps := reuseSteps(&e.scratch.steps, k)
-		for t := range st.perms {
-			e.evolvePivotPerm(st, t, n, k, rs, steps)
-			for j := 0; j < k; j++ {
-				updates += pivotBatchWalk(probe, steps[j], uEmpty, rsv[j], dlsv[j])
-			}
-		}
-	} else {
-		updates = e.runPivotBatchStriped(st, gPlus, n, k, rs, uEmpty, rsv, dlsv, workers)
-	}
+	e.stats.Updates = e.runPivotBatchStriped(st, gPlus, n, k, rs, uEmpty, rsv, dlsv, workers)
 	e.stats.Seconds = time.Since(start).Seconds()
 	e.stats.Issued = st.Tau
-	e.stats.Updates = updates
 
 	// Fold the k points' contributions in arrival order — the exact
 	// SV/LSV recurrence k successive AddSame folds apply, with each step's
@@ -470,11 +537,11 @@ func reuseSteps(dst *[]pivotBatchStep, k int) []pivotBatchStep {
 // Intn draw from each source, in arrival order.
 //
 // Each step's perm buffer is recycled from the previous call (steps
-// buffers are single-owner: the serial loop and the chunk slots both
-// drain a step's walk before re-evolving into it), so the k insertions
-// cost zero steady-state allocations. The final permutation is COPIED
-// into the state — st.perms[t] is freshly cloned by the session for this
-// update and must outlive the recycled buffers.
+// buffers are single-owner: a chunk slot drains its steps' walks before
+// they are re-evolved into), so the k insertions cost zero steady-state
+// allocations. The final permutation is COPIED into the state —
+// st.perms[t] is freshly cloned by the session for this update and must
+// outlive the recycled buffers.
 func (e *Engine) evolvePivotPerm(st *PivotState, t, n, k int, rs []*rng.Source, steps []pivotBatchStep) {
 	cur := st.perms[t]
 	tslot := st.slots[t]
@@ -515,11 +582,12 @@ func pivotBatchWalk(w *prefixWalker, s pivotBatchStep, uEmpty float64, rsv, dlsv
 	return int64(len(s.perm) - s.tslot)
 }
 
-// runPivotBatchStriped is BatchAddSame's parallel path: the producer
-// evolves stored permutations (consuming all randomness) into
-// double-buffered chunks; worker w walks only its pending-point stripe.
-// Per-point accumulators are single-writer and fed in chunk issue order,
-// so the result is bit-identical to the serial path.
+// runPivotBatchStriped is BatchAddSame's walk at every worker count, one
+// included: the producer evolves stored permutations (consuming all
+// randomness) into double-buffered chunks; worker w walks only its
+// pending-point stripe. Per-point accumulators are single-writer and fed
+// in chunk issue order, so the result is bit-identical to the per-point
+// sequential loop.
 func (e *Engine) runPivotBatchStriped(st *PivotState, gPlus game.Game, n, k int, rs []*rng.Source, uEmpty float64, rsv, dlsv [][]float64, workers int) int64 {
 	const depth = 2
 	if e.scratch.pivotSlots == nil {

@@ -13,8 +13,8 @@ import (
 // This file implements the batched DELETION walk — the removal-side
 // counterpart of engine_batch.go. The same two families, mirrored:
 //
-//   - BatchDeltaDelete shares the common-survivor chain. Per-point
-//     DeltaDelete pays two prefix walks per permutation; across k
+//   - BatchDeltaDelete shares the common-survivor chain. A single-point
+//     delta deletion pays two prefix walks per permutation; across k
 //     departing points the without-chain (a walk of the survivors only)
 //     is the SAME for every point once permutations are drawn over the
 //     COMMON survivors, so each permutation is walked into one row of the
@@ -41,18 +41,27 @@ import (
 // form's permutation draws) is consumed in the producer; the pivot form
 // consumes none at all.
 //
-// Neither pass supports adaptive early stop (shared permutations couple
-// the points' budgets) or extra semivalue heads (the batched deletes are
-// Shapley-only; the planner never routes a head-carrying session here).
-// Stats report Issued == Budget.
+// The single-point deletion is the delta form at k = 1, and only there do
+// the adaptive early stop and the extra semivalue heads apply. At k > 1
+// shared permutations couple the points' budgets, and the batched deletes
+// are Shapley-only (the planner never routes a head-carrying session
+// there); Stats report Issued == Budget.
 
 // BatchDeltaDelete runs the batched delta deletion (Algorithm 8
 // generalised to k departing points): g is the n-player PRE-batch game,
 // oldSV the n pre-batch values, points the departing indices in arrival
 // order. It returns n entries — every survivor's value adjusted by the k
 // points' summed (negated) deltas folded in arrival order, and 0 for each
-// removed player. Bit-identical to BatchDeltaDeleteSeq for the same seed
-// at every worker count; at k = 1 bit-identical to DeltaDelete.
+// removed player (the paper's convention). Bit-identical to
+// BatchDeltaDeleteSeq for the same seed at every worker count.
+//
+// At k = 1 it is Algorithm 8, the single-point delta deletion: each
+// survivor's value change is estimated from differential marginal
+// contributions involving the departing point and subtracted from its
+// precomputed value. Every utility evaluated is a coalition of the
+// original game g, so no new data is touched — only extra model trainings
+// on subsets never sampled before. Only there does the pass honour
+// WithTargetError and carry the extra semivalue heads.
 func (e *Engine) BatchDeltaDelete(g game.Game, oldSV []float64, points []int, tau int, r *rng.Source) ([]float64, error) {
 	n := g.N()
 	if len(oldSV) != n {
@@ -66,8 +75,12 @@ func (e *Engine) BatchDeltaDelete(g game.Game, oldSV []float64, points []int, ta
 	}
 	k := len(points)
 	if k == n {
+		// Nobody survives: every value, and every head's, is zero.
 		e.stats = EngineStats{Budget: tau, Workers: 1}
 		e.headVals = nil
+		for range e.heads {
+			e.headVals = append(e.headVals, make([]float64, n))
+		}
 		return make([]float64, n), nil
 	}
 	survivors := batchSurvivors(n, points)
@@ -75,6 +88,18 @@ func (e *Engine) BatchDeltaDelete(g game.Game, oldSV []float64, points []int, ta
 	workers := e.effectiveWorkers(tau)
 	e.stats = EngineStats{Budget: tau, Workers: workers}
 	e.headVals = nil
+	// A single departing point may stop early (WithTargetError) and carries
+	// the extra heads (WithSemivalues), with their own n → n−1 transition
+	// coefficients (semivalue.DeleteCoeffs). At k > 1 the points share
+	// permutations, so the pass spends its full τ, Shapley only.
+	var trk *adaptiveTracker
+	var hf *delHeadFold
+	if k == 1 {
+		if e.adaptive() {
+			trk = newAdaptiveTracker(n, e.eps, e.delta)
+		}
+		hf = newDelHeadFold(e.heads, n)
+	}
 
 	uEmpty := g.Value(bitset.New(n))
 	uP := make([]float64, k)
@@ -85,10 +110,10 @@ func (e *Engine) BatchDeltaDelete(g game.Game, oldSV []float64, points []int, ta
 
 	start := time.Now()
 	stride := k + 1
-	// Each point's fold is DeltaDelete's inner loop over the survivor game,
-	// with both chains' utilities read from the walked row; denominator
-	// c+1 = n−k+1 is the survivor-game stratification weight.
-	e.walkDeltaRows(g, survivors, points, uP, tau, workers, r, func(perm []int, row []float64) {
+	// Each point's fold is the single-point walk's inner loop over the
+	// survivor game, with both chains' utilities read from the walked row;
+	// denominator c+1 = n−k+1 is the survivor-game stratification weight.
+	issued := e.walkDeltaRows(g, survivors, points, uP, tau, workers, trk, r, func(perm []int, row []float64) {
 		for j := 0; j < k; j++ {
 			dj := dsv[j]
 			prevNo, prevWith := uEmpty, uP[j]
@@ -99,10 +124,13 @@ func (e *Engine) BatchDeltaDelete(g game.Game, oldSV []float64, points []int, ta
 				prevNo, prevWith = curNo, curWith
 			}
 		}
+		if trk != nil || hf != nil {
+			observeDeltaDelete(trk, hf, perm, row, uEmpty, uP[0])
+		}
 	})
 	e.stats.Seconds = time.Since(start).Seconds()
-	e.stats.Issued = tau
-	e.stats.Updates = int64(tau) * int64(k) * int64(c)
+	e.finishDeltaStats(trk, issued, tau)
+	e.stats.Updates = int64(issued) * int64(k) * int64(c)
 
 	out := make([]float64, n)
 	for _, q := range survivors {
@@ -110,10 +138,37 @@ func (e *Engine) BatchDeltaDelete(g game.Game, oldSV []float64, points []int, ta
 	}
 	for j := 0; j < k; j++ {
 		for _, q := range survivors {
-			out[q] += dsv[j][q] / float64(tau)
+			out[q] += dsv[j][q] / float64(issued)
 		}
 	}
+	if hf != nil {
+		e.headVals = hf.finishDelete(e.headBase, points[0], issued)
+	}
 	return out, nil
+}
+
+// observeDeltaDelete re-reads one walked row of a single-point deletion
+// for the adaptive tracker (each survivor's weighted, negated differential
+// contribution) and the extra heads (its pivot-free and pivot-included
+// marginals); either may be nil. Like observeDeltaAdd it keeps the fold
+// loop free of both.
+func observeDeltaDelete(trk *adaptiveTracker, hf *delHeadFold, perm []int, row []float64, uEmpty, uP float64) {
+	n := len(perm) + 1
+	prevNo, prevWith := uEmpty, uP
+	for pos, q := range perm {
+		curNo, curWith := row[pos*2], row[pos*2+1]
+		if trk != nil {
+			dmc := (curWith - curNo) - (prevWith - prevNo)
+			trk.observe(q, -(dmc * float64(pos+1) / float64(n)))
+		}
+		if hf != nil {
+			hf.foldPos(pos, q, curNo-prevNo, curWith-prevWith)
+		}
+		prevNo, prevWith = curNo, curWith
+	}
+	if trk != nil {
+		trk.endSample()
+	}
 }
 
 // deleteSameChunk is one batch of evolved permutations — with their
@@ -174,29 +229,7 @@ func (e *Engine) BatchDeleteSame(st *PivotState, gMinus game.Game, points []int)
 	uEmpty := gMinus.Value(bitset.New(m))
 
 	start := time.Now()
-	if workers == 1 {
-		w := newPrefixWalker(gMinus)
-		for t := range st.perms {
-			perm, slot := st.perms[t], st.slots[t]
-			for _, p := range rel {
-				perm, slot = deleteEvolveStep(perm, slot, p)
-			}
-			st.perms[t], st.slots[t] = perm, slot
-			w.reset()
-			prev := uEmpty
-			for pos, q := range perm {
-				cur := w.add(q)
-				mc := cur - prev
-				rsv[q] += mc
-				if pos < slot {
-					dlsv[q] += mc
-				}
-				prev = cur
-			}
-		}
-	} else {
-		e.runDeleteSameStriped(st, gMinus, rel, m, uEmpty, rsv, dlsv, workers)
-	}
+	e.runDeleteSameStriped(st, gMinus, rel, m, uEmpty, rsv, dlsv, workers)
 	e.stats.Seconds = time.Since(start).Seconds()
 	e.stats.Issued = st.Tau
 	e.stats.Updates = int64(st.Tau) * int64(m)
@@ -212,13 +245,15 @@ func (e *Engine) BatchDeleteSame(st *PivotState, gMinus game.Game, points []int)
 	return append([]float64(nil), sv...), nil
 }
 
-// runDeleteSameStriped is BatchDeleteSame's parallel path. Unlike the
-// per-point batch stripes there is only ONE walk per permutation here, so
+// runDeleteSameStriped is BatchDeleteSame's walk at every worker count,
+// one included. Unlike the per-point batch stripes there is only ONE walk
+// per permutation here, so
 // parallelism stripes over the PLAYER ROWS of rsv/dlsv (the fill engine's
 // pattern): the producer evolves each permutation, walks its prefix
 // utilities once, and ships (perm, slot, utils) chunks; worker w re-derives
 // the marginals from the utility diffs and folds only rows lo ≤ q < hi.
-// Single-owner rows fed in chunk issue order — bit-identical to serial.
+// Single-owner rows fed in chunk issue order — bit-identical to the
+// sequential loop.
 func (e *Engine) runDeleteSameStriped(st *PivotState, gMinus game.Game, rel []int, m int, uEmpty float64, rsv, dlsv []float64, workers int) {
 	const depth = 2
 	if e.scratch.delSlots == nil {

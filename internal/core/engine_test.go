@@ -150,7 +150,8 @@ func TestEngineInitializeBitIdentical(t *testing.T) {
 }
 
 // With adaptive mode off, the engine's estimator methods must be
-// bit-identical to their package-level counterparts.
+// bit-identical to their package-level counterparts (for the single-point
+// delta passes, the batch references at k = 1).
 func TestEngineEstimatorsMatchSerial(t *testing.T) {
 	const n, tau = 13, 90
 	g := tableGame{n: n, seed: 9}
@@ -165,21 +166,21 @@ func TestEngineEstimatorsMatchSerial(t *testing.T) {
 
 	gPlus := tableGame{n: n + 1, seed: 9}
 	oldSV := MonteCarlo(tableGame{n: n, seed: 9}, tau, rng.New(1))
-	want, err := DeltaAdd(gPlus, oldSV, tau, rng.New(6))
+	want, err := BatchDeltaAddSeq(gPlus, oldSV, 1, tau, rng.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewEngine().DeltaAdd(gPlus, oldSV, tau, rng.New(6))
+	got, err := NewEngine().BatchDeltaAdd(gPlus, oldSV, 1, tau, rng.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertBitEqual(t, "DeltaAdd", got, want)
 
-	wantDel, err := DeltaDelete(g, oldSV, 5, tau, rng.New(8))
+	wantDel, err := BatchDeltaDeleteSeq(g, oldSV, []int{5}, tau, rng.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotDel, err := NewEngine().DeltaDelete(g, oldSV, 5, tau, rng.New(8))
+	gotDel, err := NewEngine().BatchDeltaDelete(g, oldSV, []int{5}, tau, rng.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,6 +236,91 @@ func TestAdaptivePreprocessDeletionTruncatesExactly(t *testing.T) {
 	assertBitEqual(t, "SV", ds.SV, serial.SV)
 	assertBitEqual(t, "yn", ds.yn, serial.yn)
 	assertBitEqual(t, "nn", ds.nn, serial.nn)
+}
+
+// A single-point delta pass (k = 1) honours WithTargetError. On the
+// additive game the differential contributions have zero variance, so an
+// addition and a deletion both stop at the first eligible chunk boundary —
+// the same τ at every worker count — with the values of the sequential
+// reference run for exactly that τ from the same seed. A later pass on the
+// same engine must equal a fresh engine's, so no row of the stopped pass
+// leaks into it; a table game's rows differ per permutation, so a stale
+// row would show. At k = 3 the points share permutations and the pass
+// spends its whole budget.
+func TestAdaptiveDeltaK1(t *testing.T) {
+	const n, budget, p = 12, 5000, 4
+	gPlus := additiveGame{n: n + 1}
+	oldSV := baseValues(n)
+	oldDel := baseValues(n + 1)
+	next := tableGame{n: n + 1, seed: 19}
+	engine := func(workers int) *Engine {
+		return NewEngine(WithWorkers(workers), WithTargetError(1e-6, 0.05))
+	}
+	issued := map[string]int{}
+	for _, workers := range []int{1, 2, 3} {
+		for _, op := range []string{"add", "delete"} {
+			e := engine(workers)
+			var got, want []float64
+			var err error
+			if op == "add" {
+				got, err = e.BatchDeltaAdd(gPlus, oldSV, 1, budget, rng.New(21))
+			} else {
+				got, err = e.BatchDeltaDelete(gPlus, oldDel, []int{p}, budget, rng.New(21))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := e.Stats()
+			if !st.EarlyStop || st.Issued >= budget || st.Issued < adaptiveMinTau || st.Issued%defaultChunkSize != 0 {
+				t.Fatalf("workers=%d %s: no early stop at a chunk boundary: %+v", workers, op, st)
+			}
+			if st.Bound > 1e-6 {
+				t.Fatalf("workers=%d %s: reported bound %v exceeds target", workers, op, st.Bound)
+			}
+			if first, ok := issued[op]; !ok {
+				issued[op] = st.Issued
+			} else if st.Issued != first {
+				t.Fatalf("workers=%d %s: issued %d, workers=1 issued %d", workers, op, st.Issued, first)
+			}
+			if op == "add" {
+				want, err = BatchDeltaAddSeq(gPlus, oldSV, 1, st.Issued, rng.New(21))
+			} else {
+				want, err = BatchDeltaDeleteSeq(gPlus, oldDel, []int{p}, st.Issued, rng.New(21))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBitEqual(t, op+" vs reference at the issued τ", got, want)
+
+			second, err := e.BatchDeltaAdd(next, oldSV, 1, 300, rng.New(23))
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := engine(workers)
+			fresh, err := f.BatchDeltaAdd(next, oldSV, 1, 300, rng.New(23))
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBitEqual(t, op+" then a second pass", second, fresh)
+			if e.Stats().Issued != f.Stats().Issued {
+				t.Fatalf("workers=%d %s: second pass issued %d, fresh engine %d", workers, op, e.Stats().Issued, f.Stats().Issued)
+			}
+		}
+	}
+
+	e := engine(2)
+	if _, err := e.BatchDeltaAdd(additiveGame{n: n + 3}, oldSV, 3, 500, rng.New(24)); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.EarlyStop || st.Issued != 500 {
+		t.Fatalf("k=3 add stopped early: %+v", st)
+	}
+	if _, err := e.BatchDeltaDelete(gPlus, oldDel, []int{1, p, 9}, 500, rng.New(24)); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.EarlyStop || st.Issued != 500 {
+		t.Fatalf("k=3 delete stopped early: %+v", st)
+	}
 }
 
 // The stop decision lives in the producer, so the issued τ — and the

@@ -180,9 +180,10 @@ func TestInitializeHeads(t *testing.T) {
 	}
 }
 
-// DeltaAdd with heads: starting from the exact head values of the base
-// game, the differential update must land on the exact head values of the
-// grown game, for every weighting including the absolute transform.
+// The single-point delta addition (BatchDeltaAdd at k = 1) with heads:
+// starting from the exact head values of the base game, the differential
+// update must land on the exact head values of the grown game, for every
+// weighting including the absolute transform.
 func TestDeltaAddHeads(t *testing.T) {
 	gPlus := tableGame{n: 7, seed: 82}
 	gD := restrictFirst(gPlus, 6)
@@ -190,7 +191,7 @@ func TestDeltaAddHeads(t *testing.T) {
 	oldSV := Exact(gD)
 	e := NewEngine(WithSemivalues(ws...))
 	e.SetHeadBase(exactHeads(gD, ws))
-	out, err := e.DeltaAdd(gPlus, oldSV, 60000, rng.New(8))
+	out, err := e.BatchDeltaAdd(gPlus, oldSV, 1, 60000, rng.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +213,9 @@ func TestDeltaAddHeads(t *testing.T) {
 	}
 }
 
-// DeltaDelete with heads: from the exact heads of the full game, the
-// differential must land on the exact heads of the survivor game.
+// The single-point delta deletion (BatchDeltaDelete at k = 1) with heads:
+// from the exact heads of the full game, the differential must land on the
+// exact heads of the survivor game.
 func TestDeltaDeleteHeads(t *testing.T) {
 	g := tableGame{n: 7, seed: 83}
 	p := 3
@@ -221,7 +223,7 @@ func TestDeltaDeleteHeads(t *testing.T) {
 	oldSV := Exact(g)
 	e := NewEngine(WithSemivalues(ws...))
 	e.SetHeadBase(exactHeads(g, ws))
-	out, err := e.DeltaDelete(g, oldSV, p, 60000, rng.New(9))
+	out, err := e.BatchDeltaDelete(g, oldSV, []int{p}, 60000, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,8 +254,8 @@ func TestDeltaDeleteHeads(t *testing.T) {
 	}
 }
 
-// BatchDeltaAdd head values must be bit-identical to DeltaAdd's at k = 1
-// and invariant to the worker count at k > 1.
+// BatchDeltaAdd head values must be invariant to the worker count, at
+// k = 1 (where the Shapley head tracks the Shapley output) and at k > 1.
 func TestBatchDeltaAddHeads(t *testing.T) {
 	gPlus := tableGame{n: 8, seed: 84}
 	gD := restrictFirst(gPlus, 7)
@@ -262,19 +264,27 @@ func TestBatchDeltaAddHeads(t *testing.T) {
 	oldSV := Exact(gD)
 	const tau = 500
 
-	single := NewEngine(WithSemivalues(ws...))
-	single.SetHeadBase(base)
-	if _, err := single.DeltaAdd(gPlus, oldSV, tau, rng.New(10)); err != nil {
-		t.Fatal(err)
-	}
-	batch := NewEngine(WithSemivalues(ws...))
-	batch.SetHeadBase(base)
-	if _, err := batch.BatchDeltaAdd(gPlus, oldSV, 1, tau, rng.New(10)); err != nil {
-		t.Fatal(err)
-	}
-	hs, hb := single.HeadValues(), batch.HeadValues()
-	for h := range ws {
-		bitEqual(t, "k=1 head "+ws[h].String(), hb[h], hs[h])
+	var ref1 [][]float64
+	for _, workers := range []int{1, 2, 3} {
+		e := NewEngine(WithWorkers(workers), WithSemivalues(ws...))
+		e.SetHeadBase(base)
+		out, err := e.BatchDeltaAdd(gPlus, oldSV, 1, tau, rng.New(10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hv := e.HeadValues()
+		for i := range out {
+			if d := math.Abs(hv[0][i] - out[i]); d > 1e-9 {
+				t.Fatalf("k=1 Shapley head drifts from output at %d: %v vs %v", i, hv[0][i], out[i])
+			}
+		}
+		if ref1 == nil {
+			ref1 = hv
+			continue
+		}
+		for h := range ws {
+			bitEqual(t, "k=1 head "+ws[h].String(), hv[h], ref1[h])
+		}
 	}
 
 	// Worker invariance at k = 3.
@@ -326,6 +336,62 @@ func TestBatchDeltaAddHeads(t *testing.T) {
 		for h := range ws {
 			bitEqual(t, "k-NN fused vs fallback head "+ws[h].String(), heads[0][h], heads[1][h])
 		}
+	}
+}
+
+// A single-point deletion carries the heads on the fused k-NN walk exactly
+// as on one chain per pivot: the hidden-Prefixer fallback, at every worker
+// count. Deleting every player returns zeroed heads; a multi-point
+// deletion carries none.
+func TestBatchDeltaDeleteHeads(t *testing.T) {
+	ws := fourHeads()
+	const n, p = 12, 5
+	u, hidden := knnPair(t, n)
+	if game.PivotPrefixOf(u, []int{p}) == nil || game.PivotPrefixOf(hidden, []int{p}) != nil {
+		t.Fatal("fixture does not split the fused and fallback walks")
+	}
+	oldSV := baseValues(n)
+	base := make([][]float64, len(ws))
+	for h := range base {
+		base[h] = baseValues(n)
+	}
+	var ref []float64
+	var refHeads [][]float64
+	for _, workers := range []int{1, 2, 3} {
+		for _, g := range []game.Game{u, hidden} {
+			e := NewEngine(WithWorkers(workers), WithSemivalues(ws...))
+			e.SetHeadBase(base)
+			out, err := e.BatchDeltaDelete(g, oldSV, []int{p}, 60, rng.New(12))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref, refHeads = out, e.HeadValues()
+				continue
+			}
+			bitEqual(t, "k-NN fused vs fallback values", out, ref)
+			for h := range ws {
+				bitEqual(t, "k-NN fused vs fallback head "+ws[h].String(), e.HeadValues()[h], refHeads[h])
+			}
+		}
+	}
+
+	e := NewEngine(WithSemivalues(ws...))
+	if _, err := e.BatchDeltaDelete(u, oldSV, []int{p, 2}, 60, rng.New(12)); err != nil {
+		t.Fatal(err)
+	}
+	if e.HeadValues() != nil {
+		t.Fatal("multi-point deletion reported head values")
+	}
+	one := tableGame{n: 1, seed: 89}
+	if _, err := e.BatchDeltaDelete(one, []float64{0.4}, []int{0}, 60, rng.New(12)); err != nil {
+		t.Fatal(err)
+	}
+	if hv := e.HeadValues(); len(hv) != len(ws) {
+		t.Fatalf("deleting every player returned %d heads, want %d", len(hv), len(ws))
+	}
+	for h, vals := range e.HeadValues() {
+		bitEqual(t, "emptied head "+ws[h].String(), vals, []float64{0})
 	}
 }
 

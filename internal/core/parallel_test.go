@@ -3,15 +3,22 @@ package core
 import (
 	"testing"
 
+	"dynshap/internal/game"
 	"dynshap/internal/rng"
 	"dynshap/internal/stat"
 )
+
+// deltaAddWorkers is the single-point delta addition walked by workers
+// goroutines: the batched walk at k = 1.
+func deltaAddWorkers(gPlus game.Game, oldSV []float64, tau, workers int, r *rng.Source) ([]float64, error) {
+	return NewEngine(WithWorkers(workers)).BatchDeltaAdd(gPlus, oldSV, 1, tau, r)
+}
 
 func TestDeltaAddParallelMatchesExact(t *testing.T) {
 	gPlus := tableGame{n: 7, seed: 111}
 	gD := restrictFirst(gPlus, 6)
 	oldSV := Exact(gD)
-	got, err := DeltaAddParallel(gPlus, oldSV, 30000, 4, rng.New(1))
+	got, err := deltaAddWorkers(gPlus, oldSV, 30000, 4, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,11 +31,11 @@ func TestDeltaAddParallelMatchesExact(t *testing.T) {
 func TestDeltaAddParallelDeterministic(t *testing.T) {
 	gPlus := tableGame{n: 6, seed: 112}
 	oldSV := make([]float64, 5)
-	a, err := DeltaAddParallel(gPlus, oldSV, 500, 3, rng.New(9))
+	a, err := deltaAddWorkers(gPlus, oldSV, 500, 3, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DeltaAddParallel(gPlus, oldSV, 500, 3, rng.New(9))
+	b, err := deltaAddWorkers(gPlus, oldSV, 500, 3, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,53 +46,10 @@ func TestDeltaAddParallelDeterministic(t *testing.T) {
 
 func TestDeltaAddParallelValidation(t *testing.T) {
 	gPlus := tableGame{n: 5, seed: 113}
-	if _, err := DeltaAddParallel(gPlus, make([]float64, 3), 10, 2, rng.New(1)); err == nil {
+	if _, err := deltaAddWorkers(gPlus, make([]float64, 3), 10, 2, rng.New(1)); err == nil {
 		t.Fatal("size mismatch should fail")
 	}
-	if _, err := DeltaAddParallel(gPlus, make([]float64, 4), 0, 2, rng.New(1)); err == nil {
-		t.Fatal("τ=0 should fail")
-	}
-}
-
-func TestAddDifferentParallelMatchesExact(t *testing.T) {
-	gPlus := tableGame{n: 7, seed: 114}
-	gD := restrictFirst(gPlus, 6)
-	st := PivotInit(gD, 30000, false, rng.New(2))
-	got, err := st.AddDifferentParallel(gPlus, 30000, 4, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Exact(gPlus)
-	if mse := stat.MSE(got, want); mse > 2e-4 {
-		t.Fatalf("parallel AddDifferent MSE = %v", mse)
-	}
-	if st.HasPermutations() {
-		t.Fatal("parallel AddDifferent should drop stored permutations")
-	}
-}
-
-func TestAddDifferentParallelDeterministic(t *testing.T) {
-	gPlus := tableGame{n: 6, seed: 115}
-	gD := restrictFirst(gPlus, 5)
-	run := func() []float64 {
-		st := PivotInit(gD, 200, false, rng.New(4))
-		out, err := st.AddDifferentParallel(gPlus, 400, 3, rng.New(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	if maxAbsDiff(run(), run()) != 0 {
-		t.Fatal("same-seed parallel AddDifferent differs")
-	}
-}
-
-func TestAddDifferentParallelValidation(t *testing.T) {
-	st := PivotInit(tableGame{n: 4, seed: 116}, 10, false, rng.New(6))
-	if _, err := st.AddDifferentParallel(tableGame{n: 7, seed: 116}, 10, 2, rng.New(7)); err == nil {
-		t.Fatal("size mismatch should fail")
-	}
-	if _, err := st.AddDifferentParallel(tableGame{n: 5, seed: 116}, 0, 2, rng.New(7)); err == nil {
+	if _, err := deltaAddWorkers(gPlus, make([]float64, 4), 0, 2, rng.New(1)); err == nil {
 		t.Fatal("τ=0 should fail")
 	}
 }
@@ -93,7 +57,7 @@ func TestAddDifferentParallelValidation(t *testing.T) {
 func TestParallelWorkersClampedToTau(t *testing.T) {
 	gPlus := tableGame{n: 4, seed: 117}
 	oldSV := make([]float64, 3)
-	if _, err := DeltaAddParallel(gPlus, oldSV, 2, 64, rng.New(8)); err != nil {
+	if _, err := deltaAddWorkers(gPlus, oldSV, 2, 64, rng.New(8)); err != nil {
 		t.Fatalf("clamped workers failed: %v", err)
 	}
 }

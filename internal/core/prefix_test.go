@@ -113,16 +113,6 @@ func TestPrefixBitIdenticalPivotFamily(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameSlice(t, "AddDifferent", svInc, svFb)
-
-	svInc, err = stInc.Clone().AddDifferentParallel(uPlus, 18, 3, rng.New(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	svFb, err = stFb.Clone().AddDifferentParallel(hiddenPlus, 18, 3, rng.New(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSlice(t, "AddDifferentParallel", svInc, svFb)
 }
 
 func TestPrefixBitIdenticalDeltaFamily(t *testing.T) {
@@ -130,31 +120,31 @@ func TestPrefixBitIdenticalDeltaFamily(t *testing.T) {
 	uPlus, hiddenPlus := knnPlusPair(t, 10)
 	oldSV := MonteCarlo(hidden, 20, rng.New(17))
 
-	svInc, err := DeltaAdd(uPlus, oldSV, 20, rng.New(18))
+	svInc, err := deltaAdd(uPlus, oldSV, 20, rng.New(18))
 	if err != nil {
 		t.Fatal(err)
 	}
-	svFb, err := DeltaAdd(hiddenPlus, oldSV, 20, rng.New(18))
+	svFb, err := deltaAdd(hiddenPlus, oldSV, 20, rng.New(18))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameSlice(t, "DeltaAdd", svInc, svFb)
 
-	svInc, err = DeltaAddParallel(uPlus, oldSV, 18, 3, rng.New(19))
+	svInc, err = deltaAddWorkers(uPlus, oldSV, 18, 3, rng.New(19))
 	if err != nil {
 		t.Fatal(err)
 	}
-	svFb, err = DeltaAddParallel(hiddenPlus, oldSV, 18, 3, rng.New(19))
+	svFb, err = deltaAddWorkers(hiddenPlus, oldSV, 18, 3, rng.New(19))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameSlice(t, "DeltaAddParallel", svInc, svFb)
 
-	svInc, err = DeltaDelete(u, oldSV, 4, 20, rng.New(20))
+	svInc, err = deltaDelete(u, oldSV, 4, 20, rng.New(20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	svFb, err = DeltaDelete(hidden, oldSV, 4, 20, rng.New(20))
+	svFb, err = deltaDelete(hidden, oldSV, 4, 20, rng.New(20))
 	if err != nil {
 		t.Fatal(err)
 	}

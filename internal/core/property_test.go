@@ -49,7 +49,7 @@ func TestQuickDeltaAddConsistency(t *testing.T) {
 		n := gPlus.n - 1
 		gD := restrictFirst(gPlus, n)
 		oldSV := Exact(gD)
-		got, err := DeltaAdd(gPlus, oldSV, 4000, rng.New(seed+7))
+		got, err := deltaAdd(gPlus, oldSV, 4000, rng.New(seed+7))
 		if err != nil {
 			return false
 		}

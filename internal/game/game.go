@@ -94,13 +94,16 @@ type cacheEntry struct {
 	v   float64
 }
 
-// cacheShard is one lock stripe of the store. The trailing padding keeps
-// adjacent shards' mutexes on distinct cache lines so uncontended stripes
-// do not false-share.
+// cacheShard is one lock stripe of the store. pending holds the shard's
+// coalitions in flight — being computed by their first miss — keyed by key
+// bytes, each with a channel closed once the value lands; it is allocated
+// on first use. The trailing padding keeps adjacent shards' mutexes on
+// distinct cache lines so uncontended stripes do not false-share.
 type cacheShard struct {
-	mu     sync.RWMutex
-	values map[uint64][]cacheEntry
-	_      [24]byte
+	mu      sync.RWMutex
+	values  map[uint64][]cacheEntry
+	pending map[string]chan struct{}
+	_       [24]byte
 }
 
 // cacheStore is the shareable state behind Cached: the memoised values,
@@ -121,36 +124,73 @@ func newCacheStore() *cacheStore {
 	return st
 }
 
+// find returns the shard's memoised value for (hash, key) if present. The
+// caller holds sh.mu.
+func (sh *cacheShard) find(h uint64, key []byte) (float64, bool) {
+	for _, e := range sh.values[h] {
+		if e.key == string(key) {
+			return e.v, true
+		}
+	}
+	return 0, false
+}
+
 // lookup returns the memoised value for (hash, key) if present.
 func (st *cacheStore) lookup(h uint64, key []byte) (float64, bool) {
 	sh := &st.shards[h%cacheShardCount]
 	sh.mu.RLock()
-	for _, e := range sh.values[h] {
-		if e.key == string(key) {
-			sh.mu.RUnlock()
-			return e.v, true
-		}
-	}
+	v, ok := sh.find(h, key)
 	sh.mu.RUnlock()
-	return 0, false
+	return v, ok
 }
 
-// insert memoises v under (hash, key), tolerating concurrent duplicate
-// computation: a racing insert of the same coalition overwrites rather than
-// duplicating the entry.
-func (st *cacheStore) insert(h uint64, key []byte, v float64) {
+// miss resolves a lookup miss on (hash, key) = s: the first miss on a
+// coalition registers it in its shard as in flight and computes g.Value(s)
+// outside the lock; a miss on a coalition in flight waits for that value.
+// So concurrent misses on one coalition compute it once, and the number of
+// computations never depends on how walkers interleave. It reports whether
+// this call computed the value. If the computation panics, its waiters
+// retry, the first of them computing.
+func (st *cacheStore) miss(h uint64, key []byte, g Game, s bitset.Set) (float64, bool) {
 	sh := &st.shards[h%cacheShardCount]
-	sh.mu.Lock()
-	entries := sh.values[h]
-	for i := range entries {
-		if entries[i].key == string(key) {
-			entries[i].v = v
+	for {
+		sh.mu.Lock()
+		if v, ok := sh.find(h, key); ok {
 			sh.mu.Unlock()
-			return
+			return v, false
 		}
+		if done, ok := sh.pending[string(key)]; ok {
+			sh.mu.Unlock()
+			<-done
+			continue
+		}
+		if sh.pending == nil {
+			sh.pending = make(map[string]chan struct{})
+		}
+		k := string(key)
+		done := make(chan struct{})
+		sh.pending[k] = done
+		sh.mu.Unlock()
+		return sh.compute(h, k, done, g, s), true
 	}
-	sh.values[h] = append(entries, cacheEntry{key: string(key), v: v})
-	sh.mu.Unlock()
+}
+
+// compute evaluates the in-flight coalition k, publishes its value and
+// releases the waiters — on a panic too, so none waits forever.
+func (sh *cacheShard) compute(h uint64, k string, done chan struct{}, g Game, s bitset.Set) (v float64) {
+	ok := false
+	defer func() {
+		sh.mu.Lock()
+		if ok {
+			sh.values[h] = append(sh.values[h], cacheEntry{key: k, v: v})
+		}
+		delete(sh.pending, k)
+		sh.mu.Unlock()
+		close(done)
+	}()
+	v = g.Value(s)
+	ok = true
+	return v
 }
 
 // Cached wraps a game with a memoising coalition→utility cache. Model
@@ -205,6 +245,9 @@ func (c *Cached) N() int { return c.inner.N() }
 // Value implements Game, consulting the cache first. The key bytes are
 // built into a stack buffer via bitset.AppendKey, so a cache hit performs
 // no allocation (games above 512 players spill the buffer to the heap).
+// A miss on a coalition another goroutine is computing waits for that
+// value and counts as a hit: each coalition is computed, and counted as a
+// miss, once.
 func (c *Cached) Value(s bitset.Set) float64 {
 	var buf [64]byte
 	key := s.AppendKey(buf[:0])
@@ -213,9 +256,12 @@ func (c *Cached) Value(s bitset.Set) float64 {
 		c.store.hits.Add(1)
 		return v
 	}
-	v := c.inner.Value(s)
-	c.store.insert(h, key, v)
-	c.store.misses.Add(1)
+	v, computed := c.store.miss(h, key, c.inner, s)
+	if computed {
+		c.store.misses.Add(1)
+	} else {
+		c.store.hits.Add(1)
+	}
 	return v
 }
 

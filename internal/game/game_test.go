@@ -3,8 +3,10 @@ package game
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"dynshap/internal/bitset"
 )
@@ -228,6 +230,77 @@ func TestCachedConcurrent(t *testing.T) {
 	}
 	if c.Len() > 64*64 {
 		t.Fatalf("cache grew unreasonably: %d", c.Len())
+	}
+}
+
+// Walkers that miss on the same coalitions at once must compute each one
+// once: the first miss computes, the others wait for its value and count
+// as hits. The inner game sleeps so every goroutine misses while the first
+// computation is still in flight.
+func TestCachedConcurrentMissesComputeOnce(t *testing.T) {
+	const walkers, coalitions = 4, 6
+	counted := NewCounting(Func{Players: coalitions, U: func(s bitset.Set) float64 {
+		time.Sleep(20 * time.Millisecond)
+		return float64(s.Len())
+	}})
+	c := NewCached(counted)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < walkers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < coalitions; i++ {
+				if v := c.Value(set(coalitions, i)); v != 1 {
+					t.Errorf("coalition %d: value %v, want 1", i, v)
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	hits, misses := c.Stats()
+	if counted.Calls() != coalitions || misses != coalitions || hits != (walkers-1)*coalitions {
+		t.Fatalf("inner calls %d, misses %d, hits %d; want %d, %d, %d",
+			counted.Calls(), misses, hits, coalitions, coalitions, (walkers-1)*coalitions)
+	}
+}
+
+// A panicking computation must not strand the misses waiting on it: they
+// retry, and the first of them computes.
+func TestCachedPanicReleasesWaiters(t *testing.T) {
+	var calls atomic.Int64
+	started, release := make(chan struct{}), make(chan struct{})
+	g := Func{Players: 2, U: func(s bitset.Set) float64 {
+		if calls.Add(1) == 1 {
+			close(started)
+			<-release
+			panic("first computation fails")
+		}
+		return 7
+	}}
+	c := NewCached(g)
+	first := make(chan any)
+	go func() {
+		defer func() { first <- recover() }()
+		c.Value(set(2, 0))
+	}()
+	<-started
+	second := make(chan float64)
+	go func() { second <- c.Value(set(2, 0)) }()
+	// Give the second miss time to start waiting on the first; the checks
+	// below hold whichever way the two interleave.
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	if r := <-first; r == nil {
+		t.Fatal("the failing computation did not panic")
+	}
+	if v := <-second; v != 7 {
+		t.Fatalf("waiter got %v, want 7", v)
+	}
+	if _, misses := c.Stats(); misses != 1 || c.Len() != 1 {
+		t.Fatalf("misses %d, cached %d; want 1, 1", misses, c.Len())
 	}
 }
 

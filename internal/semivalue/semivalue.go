@@ -17,8 +17,8 @@
 //
 // which is identically 1 for Shapley — the engine's historic accumulation.
 // The package also derives the differential coefficient tables the
-// dynamic-update walks (DeltaAdd/DeltaDelete) need to carry non-Shapley
-// heads; see AddCoeffs and DeleteCoeffs.
+// dynamic-update walks (the delta addition and deletion) need to carry
+// non-Shapley heads; see AddCoeffs and DeleteCoeffs.
 package semivalue
 
 import (
@@ -228,7 +228,7 @@ func (w Weighting) PosWeights(n int) []float64 {
 	return out
 }
 
-// AddCoeffs returns the differential tables an insertion walk (DeltaAdd:
+// AddCoeffs returns the differential tables an insertion walk (delta add:
 // n-player base game growing to n+1 players) folds the head with:
 //
 //   - cNo[pos], cWith[pos] for pos = 0..n−1: an old player observed at
@@ -244,7 +244,7 @@ func (w Weighting) PosWeights(n int) []float64 {
 //     the size-k prefix, wNew[k] = C(n,k)·p_{n+1}(k).
 //
 // For Shapley the closed forms cNo = −(pos+1)/(n+1), cWith = (pos+1)/(n+1),
-// wNew = 1/(n+1) are returned directly — the historic DeltaAdd fold
+// wNew = 1/(n+1) are returned directly — the delta addition's Shapley fold
 // dmc·(pos+1)/(n+1) is exactly cNo·mNo + cWith·mWith.
 func (w Weighting) AddCoeffs(n int) (cNo, cWith, wNew []float64) {
 	cNo = make([]float64, n)
@@ -275,7 +275,7 @@ func (w Weighting) AddCoeffs(n int) (cNo, cWith, wNew []float64) {
 }
 
 // DeleteCoeffs returns the differential tables a deletion walk
-// (DeltaDelete: n-player game shrinking to n−1 survivors) folds the head
+// (delta delete: n-player game shrinking to n−1 survivors) folds the head
 // with: a survivor observed at position pos of the survivor walk, with
 // pivot-free marginal mNo and pivot-included marginal mWith, contributes
 // cNo[pos]·T(mNo) + cWith[pos]·T(mWith) to its head change. cNo =

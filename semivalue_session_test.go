@@ -450,3 +450,36 @@ func TestSessionHeadsSkipExactKNNFastPath(t *testing.T) {
 		t.Fatal("AlgoExactKNN add succeeded with heads configured")
 	}
 }
+
+// Deleting a head-carrying session down to zero points under AlgoDelta
+// ends in the single-point pass's every-player case, which must hand back
+// zeroed heads beside the zeroed values — one point at a time and in one
+// request.
+func TestSessionHeadsDeleteToEmpty(t *testing.T) {
+	const n = 5
+	for _, oneByOne := range []bool{true, false} {
+		s := newTestSession(t, n, WithSemivalues(Banzhaf()), WithUpdateSamples(20))
+		if err := s.Init(); err != nil {
+			t.Fatal(err)
+		}
+		steps := [][]int{{0, 1, 2, 3, 4}}
+		if oneByOne {
+			steps = [][]int{{4}, {0}, {1}, {0}, {0}}
+		}
+		left := n
+		for _, idx := range steps {
+			sv, err := s.Delete(idx, AlgoDelta)
+			if err != nil {
+				t.Fatalf("oneByOne=%v: Delete(%v): %v", oneByOne, idx, err)
+			}
+			left -= len(idx)
+			hv, err := s.ValuesFor(Banzhaf())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sv) != left || len(hv) != left {
+				t.Fatalf("oneByOne=%v: %d values and %d Banzhaf values left, want %d", oneByOne, len(sv), len(hv), left)
+			}
+		}
+	}
+}

@@ -831,7 +831,13 @@ func (s *Session) addJournaled(points []Point, algo Algorithm, coalesced bool) (
 	case AlgoPivotSameBatch:
 		err = s.addPivotBatch(st, points, r, &ops)
 	case AlgoDelta:
-		err = s.addDelta(st, points, r, &ops)
+		// Sequential re-basing: each point is a one-point batch valued
+		// against a set that already holds its predecessors.
+		for i := range points {
+			if err = s.addDeltaBatch(st, points[i:i+1], r, &ops); err != nil {
+				break
+			}
+		}
 	case AlgoDeltaBatch:
 		err = s.addDeltaBatch(st, points, r, &ops)
 	case AlgoExactKNN:
@@ -1047,7 +1053,7 @@ func (s *Session) addPivotBatch(st *sessionState, points []Point, r *rng.Source,
 // addDeltaBatch runs the batched delta walk: one multi-point utility
 // append, then one shared permutation pass valuing all pending points
 // against the fixed pre-batch set (see Add's note on how this estimator
-// relates to sequential AlgoDelta).
+// relates to sequential AlgoDelta, which runs it once per point).
 func (s *Session) addDeltaBatch(st *sessionState, points []Point, r *rng.Source, ops *opMetrics) error {
 	uPlus := st.util.Append(points...)
 	gPlus := s.gameFor(st, uPlus)
@@ -1060,23 +1066,6 @@ func (s *Session) addDeltaBatch(st *sessionState, points []Point, r *rng.Source,
 	st.sv = sv
 	s.captureHeads(st)
 	s.applyAppendBuilt(st, uPlus, points...)
-	return nil
-}
-
-func (s *Session) addDelta(st *sessionState, points []Point, r *rng.Source, ops *opMetrics) error {
-	for _, p := range points {
-		uPlus := st.util.Append(p)
-		gPlus := s.gameFor(st, uPlus)
-		s.engine.SetHeadBase(st.heads)
-		sv, err := s.engine.DeltaAdd(gPlus, st.sv, s.cfg.updateTau, r.Split())
-		if err != nil {
-			return err
-		}
-		ops.perms += s.engine.Stats().Issued
-		st.sv = sv
-		s.captureHeads(st)
-		s.applyAppendBuilt(st, uPlus, p)
-	}
 	return nil
 }
 
@@ -1359,8 +1348,9 @@ func (s *Session) deleteYNNN(st *sessionState, indices []int) ([]float64, [][]fl
 }
 
 func (s *Session) deleteDelta(st *sessionState, indices []int, r *rng.Source, ops *opMetrics) ([]float64, [][]float64, error) {
-	// Apply sequentially; between steps, work in the shrinking restricted
-	// game but keep original indexing via an index map.
+	// Apply sequentially, one single-point batch deletion per index;
+	// between steps, work in the shrinking restricted game but keep
+	// original indexing via an index map.
 	cur := append([]float64(nil), st.sv...)
 	// curHeads tracks the extra heads through the same shrinking numbering.
 	var curHeads [][]float64
@@ -1395,7 +1385,7 @@ func (s *Session) deleteDelta(st *sessionState, indices []int, r *rng.Source, op
 			return nil, nil, fmt.Errorf("dynshap: internal: point %d already deleted", orig)
 		}
 		s.engine.SetHeadBase(curHeads)
-		sub, err := s.engine.DeltaDelete(rg, cur, ri, s.cfg.updateTau, r.Split())
+		sub, err := s.engine.BatchDeltaDelete(rg, cur, []int{ri}, s.cfg.updateTau, r.Split())
 		if err != nil {
 			return nil, nil, err
 		}
