@@ -26,47 +26,51 @@ func batchTestPoints(k, dim int) []Point {
 	return pts
 }
 
+// A Pivot-s-batch add equals the same points added one at a time with
+// AlgoPivotSame, at every worker count.
 func TestSessionBatchPivotMatchesSequential(t *testing.T) {
 	const n, k = 14, 5
 	pts := batchTestPoints(k, 4)
-	seqS := newTestSession(t, n, WithKeepPermutations())
-	batchS := newTestSession(t, n, WithKeepPermutations())
-	if err := seqS.Init(); err != nil {
-		t.Fatal(err)
-	}
-	if err := batchS.Init(); err != nil {
-		t.Fatal(err)
-	}
-	want, err := seqS.Add(pts, AlgoPivotSame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := batchS.Add(pts, AlgoPivotSameBatch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("batched pivot add diverged from sequential:\n got %v\nwant %v", got, want)
-	}
-	// The journal attributes a value to each point of the batch, matching
-	// the tail of the published values.
-	rec, err := batchS.At(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.BatchValues) != k {
-		t.Fatalf("journal BatchValues has %d entries, want %d", len(rec.BatchValues), k)
-	}
-	if !reflect.DeepEqual(rec.BatchValues, got[n:]) {
-		t.Fatalf("BatchValues %v != value tail %v", rec.BatchValues, got[n:])
-	}
-	// Sequential records no attribution.
-	seqRec, err := seqS.At(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqRec.BatchValues != nil {
-		t.Fatalf("sequential add recorded BatchValues %v", seqRec.BatchValues)
+	for workers := 1; workers <= 3; workers++ {
+		seqS := newTestSession(t, n, WithKeepPermutations(), WithWorkers(workers))
+		batchS := newTestSession(t, n, WithKeepPermutations(), WithWorkers(workers))
+		if err := seqS.Init(); err != nil {
+			t.Fatal(err)
+		}
+		if err := batchS.Init(); err != nil {
+			t.Fatal(err)
+		}
+		want, err := seqS.Add(pts, AlgoPivotSame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := batchS.Add(pts, AlgoPivotSameBatch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: batched pivot add diverged from sequential:\n got %v\nwant %v", workers, got, want)
+		}
+		// The journal attributes a value to each point of the batch, matching
+		// the tail of the published values.
+		rec, err := batchS.At(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.BatchValues) != k {
+			t.Fatalf("journal BatchValues has %d entries, want %d", len(rec.BatchValues), k)
+		}
+		if !reflect.DeepEqual(rec.BatchValues, got[n:]) {
+			t.Fatalf("BatchValues %v != value tail %v", rec.BatchValues, got[n:])
+		}
+		// Sequential records no attribution.
+		seqRec, err := seqS.At(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seqRec.BatchValues != nil {
+			t.Fatalf("sequential add recorded BatchValues %v", seqRec.BatchValues)
+		}
 	}
 }
 

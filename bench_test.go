@@ -461,11 +461,12 @@ func BenchmarkParallelMCWarmedCache(b *testing.B) {
 	u := knnWalkUtility(60)
 	// Hide the Prefixer capability so the walk exercises the cache.
 	c := game.NewCached(game.Func{Players: 60, U: u.Value})
-	core.MonteCarloParallel(c, 120, 0, rng.New(5))
+	e := core.NewEngine(core.WithWorkers(0))
+	e.MonteCarlo(c, 120, rng.New(5))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.MonteCarloParallel(c, 120, 0, rng.New(5))
+		e.MonteCarlo(c, 120, rng.New(5))
 	}
 }
 

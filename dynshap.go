@@ -160,8 +160,8 @@ const (
 	AlgoDelta
 	// AlgoDeltaBatch is the batched delta walk: one permutation pass
 	// walks a shared chain once and evaluates every pending point's
-	// differential contributions against it, with per-point accumulators
-	// striped across workers. For additions the shared chain is the
+	// differential contributions against it, with whole permutations
+	// walked across workers. For additions the shared chain is the
 	// no-pivot walk and each appended point is valued against the
 	// pre-batch base; for deletions it is the common-survivors walk and
 	// each departing point is priced against the fixed pre-batch set.
@@ -261,19 +261,22 @@ func ExactShapley(g Game) []float64 { return core.Exact(g) }
 // MonteCarloShapley approximates Shapley values with tau sampled
 // permutations (Algorithm 1).
 func MonteCarloShapley(g Game, tau int, seed uint64) []float64 {
-	return core.MonteCarlo(g, tau, rng.New(seed))
+	return MonteCarloShapleyParallel(g, tau, 1, seed)
 }
 
-// MonteCarloShapleyParallel spreads the permutations over the given number
-// of workers (≤0 selects GOMAXPROCS).
+// MonteCarloShapleyParallel spreads the permutation walks over the given
+// number of workers (≤0 selects GOMAXPROCS) — the parallel execution model
+// of the paper's large-dataset experiments (§VII-G). The values equal
+// MonteCarloShapley's at every worker count: the walkers only price
+// prefixes, and one goroutine folds them in permutation order.
 func MonteCarloShapleyParallel(g Game, tau, workers int, seed uint64) []float64 {
-	return core.MonteCarloParallel(g, tau, workers, rng.New(seed))
+	return core.NewEngine(core.WithWorkers(workers)).MonteCarlo(g, tau, rng.New(seed))
 }
 
 // TruncatedMonteCarloShapley approximates Shapley values with truncation
 // tolerance tol (Ghorbani–Zou TMC).
 func TruncatedMonteCarloShapley(g Game, tau int, tol float64, seed uint64) []float64 {
-	return core.TruncatedMonteCarlo(g, tau, tol, rng.New(seed))
+	return core.NewEngine(core.WithWorkers(1)).TruncatedMonteCarlo(g, tau, tol, rng.New(seed))
 }
 
 // Game-level dynamic algorithms. The paper's methods apply to any
@@ -326,20 +329,22 @@ type UpdateRecord = journal.Update
 // in snapshot format 2.
 type JournalState = journal.State
 
-// PreprocessDeletionParallel is PreprocessDeletion with the YN-NN array
-// fill striped over the given number of accumulator workers (≤0 selects
-// GOMAXPROCS). One producer samples permutations and computes prefix
-// utilities; each worker owns a contiguous block of the arrays' player
-// rows, so the result is bit-identical to the serial fill for the same
-// seed at every worker count.
+// PreprocessDeletionParallel is PreprocessDeletion with the permutations
+// walked by the given number of workers and the YN-NN array fill striped
+// over as many stripe workers (≤0 selects GOMAXPROCS). One producer draws
+// the permutations and folds the walked prefix utilities in order; each
+// stripe worker owns a contiguous block of the arrays' player rows, so the
+// result is bit-identical to the serial fill for the same seed at every
+// worker count.
 func PreprocessDeletionParallel(g Game, tau, workers int, seed uint64) *DeletionArrays {
 	e := core.NewEngine(core.WithWorkers(workers))
 	return e.PreprocessDeletion(g, tau, rng.New(seed))
 }
 
 // PreprocessMultiDeletionParallel is PreprocessMultiDeletion with the
-// YNN-NNN fill striped over workers accumulators; bit-identical to the
-// serial fill for the same seed.
+// permutations walked by workers goroutines and the YNN-NNN fill striped
+// over as many stripe workers; bit-identical to the serial fill for the
+// same seed.
 func PreprocessMultiDeletionParallel(g Game, d int, candidates []int, tau, workers int, seed uint64) (*MultiDeletionArrays, error) {
 	e := core.NewEngine(core.WithWorkers(workers))
 	return e.PreprocessMultiDeletion(g, d, candidates, tau, rng.New(seed))

@@ -43,8 +43,9 @@ func (r *Runner) ablationCacheReuse() (*Table, error) {
 			cache = game.NewCached(uPlus)
 			g = cache
 		}
+		e := core.NewEngine(core.WithWorkers(1))
 		start := time.Now()
-		if _, err := st.AddSame(g, rng.New(seed+2)); err != nil {
+		if _, err := e.BatchAddSame(st, g, 1, []*rng.Source{rng.New(seed + 2)}); err != nil {
 			panic(err) // exercised paths validated by unit tests
 		}
 		secs := time.Since(start).Seconds()
@@ -75,12 +76,13 @@ func (r *Runner) ablationTMCTolerance() (*Table, error) {
 	seed := r.cfg.Seed + 42
 	sc := r.irisScenario(n, seed)
 	counting := game.NewCounting(game.NewCached(sc.util))
-	bench := core.MonteCarloParallel(game.NewCached(sc.util), r.cfg.BenchTauFactor*n, r.cfg.Workers, rng.New(seed+1))
+	bench := r.mcReference(game.NewCached(sc.util), r.cfg.BenchTauFactor*n, seed+1)
+	e := core.NewEngine(core.WithWorkers(1))
 
 	t := &Table{Columns: []string{"tolerance", "MSE", "utility evals"}}
 	for _, tol := range []float64{0, 1e-12, 1e-3, 1e-2, 5e-2, 1e-1} {
 		counting.Reset()
-		est := core.TruncatedMonteCarlo(counting, tau, tol, rng.New(seed+2))
+		est := e.TruncatedMonteCarlo(counting, tau, tol, rng.New(seed+2))
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.0e", tol),
 			sci(stat.MSE(est, bench)),
@@ -146,7 +148,7 @@ func (r *Runner) ablationSelection() (*Table, error) {
 	seed := r.cfg.Seed + 44
 	sc := r.irisScenario(n, seed)
 	g := game.NewCached(sc.util)
-	sv := core.MonteCarloParallel(g, r.cfg.BenchTauFactor*n, r.cfg.Workers, rng.New(seed+1))
+	sv := r.mcReference(g, r.cfg.BenchTauFactor*n, seed+1)
 	loo := core.LeaveOneOut(g)
 
 	keep := n / 2

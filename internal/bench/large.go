@@ -42,7 +42,7 @@ func (r *Runner) largeAddTable(numAdd int) (*Table, error) {
 	uPlus := sc.util.Append(added...)
 	benchCount := game.NewCounting(uPlus)
 	benchCache := game.NewCached(benchCount)
-	core.MonteCarloParallel(benchCache, r.cfg.LargeBenchTau, r.cfg.Workers, rng.New(r.cfg.Seed+13))
+	r.mcReference(benchCache, r.cfg.LargeBenchTau, r.cfg.Seed+13)
 	timeRow[1] = secs(time.Since(start))
 	evalRow[1] = fmt.Sprintf("%d", benchCount.Calls())
 	benchHits, _ := benchCache.Stats()
@@ -102,7 +102,7 @@ func (r *Runner) largeDeleteTable(numDel int) (*Table, error) {
 	benchCount := game.NewCounting(sc.util)
 	benchCache := game.NewCached(benchCount)
 	restricted := game.NewRestrict(benchCache, deleted...)
-	core.MonteCarloParallel(restricted, r.cfg.LargeBenchTau, r.cfg.Workers, rng.New(r.cfg.Seed+24))
+	r.mcReference(restricted, r.cfg.LargeBenchTau, r.cfg.Seed+24)
 	timeRow[1] = secs(time.Since(start))
 	evalRow[1] = fmt.Sprintf("%d", benchCount.Calls())
 	benchHits, _ := benchCache.Stats()

@@ -116,8 +116,7 @@ type initProducts struct {
 }
 
 // initialize runs the shared preprocessing pass with the given τ, routed
-// through the stripe-parallel permutation engine under the configured
-// worker budget. The engine is bit-identical to the serial pass for a
+// through the permutation engine under the configured worker budget. The engine is bit-identical to the serial pass for a
 // fixed seed, so all downstream numbers are unchanged; its stats for the
 // pass are kept on the Runner for the table notes.
 func (r *Runner) initialize(sc *scenario, opt core.InitOptions, tau int, seed uint64) (*initProducts, error) {
@@ -142,9 +141,16 @@ func (r *Runner) benchmarkAdd(sc *scenario, added []dataset.Point, tau int, seed
 	}
 	uPlus := sc.util.Append(added...)
 	g := game.NewCached(uPlus)
-	sv := core.MonteCarloParallel(g, tau, r.cfg.Workers, rng.New(seed))
+	sv := r.mcReference(g, tau, seed)
 	r.benchMemo[key] = sv
 	return sv
+}
+
+// mcReference is the paper's MCSV⁺ reference: Monte Carlo over tau
+// permutations walked by the configured workers. Its values are the same
+// at every worker count.
+func (r *Runner) mcReference(g game.Game, tau int, seed uint64) []float64 {
+	return core.NewEngine(core.WithWorkers(r.cfg.Workers)).MonteCarlo(g, tau, rng.New(seed))
 }
 
 // benchmarkDelete computes MCSV⁺ on the post-deletion dataset, returned in
@@ -153,7 +159,7 @@ func (r *Runner) benchmarkAdd(sc *scenario, added []dataset.Point, tau int, seed
 func (r *Runner) benchmarkDelete(sc *scenario, deleted []int, tau int, seed uint64) []float64 {
 	g := game.NewCached(sc.util)
 	restricted := game.NewRestrict(g, deleted...)
-	sub := core.MonteCarloParallel(restricted, tau, r.cfg.Workers, rng.New(seed))
+	sub := r.mcReference(restricted, tau, seed)
 	out := make([]float64, sc.util.N())
 	for ri, orig := range restricted.Keep() {
 		out[orig] = sub[ri]
@@ -174,6 +180,9 @@ var deleteAlgorithms = []string{"MC", "TMC", "YN-NN", "Delta", "KNN", "KNN+"}
 func (r *Runner) runAdd(name string, sc *scenario, prods *initProducts, added []dataset.Point, tau int, seed uint64) ([]float64, measurement, error) {
 	rnd := rng.New(seed)
 	m := measurement{name: name}
+	// The sampled contenders walk on one goroutine, so the seconds rows
+	// compare algorithms rather than worker counts.
+	e := core.NewEngine(core.WithWorkers(1))
 
 	// Every contender gets its own fork of the warmed cache so timing
 	// reflects only the model trainings it newly causes.
@@ -185,9 +194,9 @@ func (r *Runner) runAdd(name string, sc *scenario, prods *initProducts, added []
 	var err error
 	switch name {
 	case "MC":
-		sv = core.MonteCarlo(game.NewCachedShared(uPlus, forked), tau, rnd)
+		sv = e.MonteCarlo(game.NewCachedShared(uPlus, forked), tau, rnd)
 	case "TMC":
-		sv = core.TruncatedMonteCarlo(game.NewCachedShared(uPlus, forked), tau, 1e-12, rnd)
+		sv = e.TruncatedMonteCarlo(game.NewCachedShared(uPlus, forked), tau, 1e-12, rnd)
 	case "Base":
 		sv = core.BaseAdd(prods.res.Pivot.SV, len(added))
 	case "Pivot-s", "Pivot-d":
@@ -198,7 +207,7 @@ func (r *Runner) runAdd(name string, sc *scenario, prods *initProducts, added []
 			next := cur.Append(p)
 			g := game.NewCachedShared(next, cache)
 			if name == "Pivot-s" {
-				sv, err = st.AddSame(g, rnd)
+				sv, err = e.BatchAddSame(st, g, 1, []*rng.Source{rnd})
 			} else {
 				sv, err = st.AddDifferent(g, tau, rnd)
 			}
@@ -212,7 +221,6 @@ func (r *Runner) runAdd(name string, sc *scenario, prods *initProducts, added []
 		sv = append([]float64(nil), prods.res.Pivot.SV...)
 		cur := sc.util
 		cache := forked
-		e := core.NewEngine(core.WithWorkers(1))
 		for _, p := range added {
 			next := cur.Append(p)
 			g := game.NewCachedShared(next, cache)
@@ -253,6 +261,7 @@ func (r *Runner) runDelete(name string, sc *scenario, prods *initProducts, delet
 	n := sc.train.Len()
 	rnd := rng.New(seed)
 	m := measurement{name: name}
+	e := core.NewEngine(core.WithWorkers(1))
 	forked := prods.cache.Fork(sc.util)
 	g := game.Game(game.NewCachedShared(sc.util, forked))
 
@@ -264,9 +273,9 @@ func (r *Runner) runDelete(name string, sc *scenario, prods *initProducts, delet
 		restricted := game.NewRestrict(g, deleted...)
 		var sub []float64
 		if name == "TMC" {
-			sub = core.TruncatedMonteCarlo(restricted, tau, 1e-12, rnd)
+			sub = e.TruncatedMonteCarlo(restricted, tau, 1e-12, rnd)
 		} else {
-			sub = core.MonteCarlo(restricted, tau, rnd)
+			sub = e.MonteCarlo(restricted, tau, rnd)
 		}
 		expanded = make([]float64, n)
 		for ri, orig := range restricted.Keep() {

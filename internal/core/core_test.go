@@ -218,27 +218,32 @@ func TestMonteCarloExactOnAdditive(t *testing.T) {
 	}
 }
 
+// Engine.MonteCarlo walks permutations on several goroutines; the
+// estimate still converges to the exact values.
 func TestMonteCarloParallelConverges(t *testing.T) {
 	g := tableGame{n: 10, seed: 6}
 	want := Exact(g)
-	got := MonteCarloParallel(g, 20000, 4, rng.New(2))
+	got := NewEngine(WithWorkers(4)).MonteCarlo(g, 20000, rng.New(2))
 	if mse := stat.MSE(got, want); mse > 1e-4 {
 		t.Fatalf("parallel MC MSE = %v", mse)
 	}
 }
 
+// The walkers only price prefixes and one goroutine folds them in
+// permutation order, so the estimate is the same at every worker count.
 func TestMonteCarloParallelDeterministicGivenWorkers(t *testing.T) {
 	g := tableGame{n: 8, seed: 8}
-	a := MonteCarloParallel(g, 200, 3, rng.New(11))
-	b := MonteCarloParallel(g, 200, 3, rng.New(11))
+	a := NewEngine(WithWorkers(3)).MonteCarlo(g, 200, rng.New(11))
+	b := NewEngine(WithWorkers(3)).MonteCarlo(g, 200, rng.New(11))
 	if maxAbsDiff(a, b) != 0 {
 		t.Fatal("same-seed same-workers parallel MC differs")
 	}
+	assertBitEqual(t, "workers 3 vs 1", a, NewEngine(WithWorkers(1)).MonteCarlo(g, 200, rng.New(11)))
 }
 
 func TestMonteCarloParallelWorkerCountClamped(t *testing.T) {
 	g := game.Additive{Weights: []float64{1, 2}}
-	got := MonteCarloParallel(g, 3, 64, rng.New(1)) // workers > τ
+	got := NewEngine(WithWorkers(64)).MonteCarlo(g, 3, rng.New(1)) // workers > τ
 	if d := maxAbsDiff(got, g.ShapleyValues()); d > 1e-12 {
 		t.Fatalf("clamped parallel MC wrong: %v", got)
 	}

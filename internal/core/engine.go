@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -13,32 +14,39 @@ import (
 	"dynshap/internal/semivalue"
 )
 
-// This file implements the shared permutation engine behind the sampled
-// estimators and the YN-NN / YNN-NNN preprocessing fills.
+// This file implements the permutation engine behind every sampled pass:
+// Monte Carlo, TMC, the combined initialisation and the YN-NN / YNN-NNN
+// preprocessing fills here, the batched delta and pivot updates in
+// engine_batch.go and engine_batch_delete.go.
 //
-// Two ideas, composable and both deterministic:
+// Every pass runs on one pipeline (walkRows), which moves each permutation
+// through three steps:
 //
-//   - Stripe parallelism. The preprocessing fills pay almost their entire
-//     cost in O(n²) array updates per permutation over O(n³) memory. The
-//     engine runs a single producer that samples permutations and computes
-//     prefix utilities once (through prefixWalker, so incremental
-//     evaluators and the utility cache stay single-goroutine), then fans
-//     each chunk of (perm, utilities) out to accumulator workers. Worker w
-//     owns the contiguous stripe lo ≤ i < hi of the arrays' first axis and
-//     folds only rows in its stripe — no per-worker array clones (the
-//     naive approach costs workers × n³ floats), no locks. Every array
-//     entry (i, ·, ·) is written by exactly one worker, which processes
-//     chunks in issue order and permutations in order within a chunk, so
-//     each entry receives float additions in exactly the serial order: the
-//     result is bit-identical to the serial fill for a fixed seed, at any
-//     worker count.
+//   - draw: the producer — the calling goroutine — draws the permutation
+//     in RNG order, so every random draw happens in the sequential
+//     reference's order;
+//   - walk: a walker turns the permutation into a row of prefix
+//     utilities, through evaluators of its own (incremental evaluators and
+//     the utility cache never see two goroutines at once); the producer is
+//     one of the walkers;
+//   - fold: the producer folds the row into the pass's accumulators in
+//     permutation order, then checks the stop rule.
 //
-//   - Adaptive early termination. Work is issued in chunks; between chunks
-//     the engine checks an empirical-Bernstein bound over the per-player
-//     contributions observed so far (producer-side, so the decision is
-//     independent of the worker count) and stops as soon as every player's
-//     estimate is certified within eps at confidence 1−delta, recording
-//     the τ actually spent instead of always burning the full budget.
+// Only the fold writes accumulators, on one goroutine, in the sequential
+// order, so every pass is bit-identical to its reference at any worker
+// count. The fills add one step: their O(n²) array updates per permutation
+// go to stripe workers (stripeFan). Worker w owns the contiguous stripe
+// lo ≤ i < hi of the arrays' first axis — no per-worker array clones (the
+// naive approach costs workers × n³ floats), no locks — and receives the
+// folded rows in permutation order, so each array entry also gets its
+// additions in the serial order.
+//
+// Adaptive early termination rides on the fold: the producer feeds each
+// folded row to an empirical-Bernstein tracker and stops at the first chunk
+// boundary where every player's estimate is certified within eps at
+// confidence 1−delta, recording the τ actually spent instead of always
+// burning the full budget. The decision sees only folded rows, so it is the
+// same at every worker count.
 //
 // See DESIGN.md §9 for the determinism contract and the bound's failure
 // modes.
@@ -54,10 +62,11 @@ const defaultChunkSize = 64
 // to certify anything.
 const adaptiveMinTau = 32
 
-// Engine runs permutation-sampling passes with stripe-parallel array fills
-// and optional adaptive early termination. The zero value is not usable;
-// construct with NewEngine. An Engine is not safe for concurrent use: it
-// records per-pass statistics, and its fills mutate the target stores.
+// Engine runs permutation-sampling passes with parallel walkers,
+// stripe-parallel array fills and optional adaptive early termination. The
+// zero value is not usable; construct with NewEngine. An Engine is not safe
+// for concurrent use: it records per-pass statistics, and its fills mutate
+// the target stores.
 type Engine struct {
 	workers int
 	chunk   int
@@ -76,11 +85,10 @@ type Engine struct {
 	headBase [][]float64
 	headVals [][]float64
 
-	// scratch caches the batched walks' reusable buffers across calls —
-	// per-point accumulator matrices, the delta pipeline's permutation and
-	// row slots, and the striped paths' chunk slots. The engine is
-	// single-writer (the session serialises updates), so cached scratch is
-	// never shared between concurrent passes; every buffer is resized on
+	// scratch caches the passes' reusable buffers across calls — per-point
+	// accumulator matrices and the pipeline's permutation slots. The engine
+	// is single-writer (the session serialises updates), so cached scratch
+	// is never shared between concurrent passes; every buffer is resized on
 	// use and either zeroed (accumulators) or fully overwritten before it
 	// is read. This matters most under the write-coalescing pipeline, where
 	// every admission window pays a batch walk: without the cache each
@@ -93,10 +101,12 @@ type Engine struct {
 // EngineOption configures an Engine.
 type EngineOption func(*Engine)
 
-// WithWorkers sets the number of accumulator workers for striped fills
-// (≤0 selects GOMAXPROCS). Fill results are bit-identical at every worker
-// count — the producer consumes all randomness and each worker owns a
-// disjoint stripe of the arrays — so this is purely a throughput knob.
+// WithWorkers sets how many goroutines walk permutations in every pass,
+// the producer among them, and how many stripe workers a deletion-store
+// fill runs beside them (≤0 selects GOMAXPROCS). Results are bit-identical
+// at every worker count — the producer consumes all randomness and folds
+// rows in permutation order, and each stripe worker owns a disjoint stripe
+// of the arrays — so this is purely a throughput knob.
 func WithWorkers(k int) EngineOption { return func(e *Engine) { e.workers = k } }
 
 // WithChunkSize sets how many permutations are issued between stripe
@@ -168,8 +178,9 @@ type EngineStats struct {
 	// Budget is the τ requested; Issued is the τ actually accumulated —
 	// smaller than Budget when adaptive stopping fired.
 	Budget, Issued int
-	// Workers is the accumulator goroutine count the pass used (1 for
-	// purely producer-side passes such as plain Monte Carlo estimation).
+	// Workers is the number of goroutines that walked permutations, the
+	// producer included. A deletion-store fill runs up to as many stripe
+	// workers beside them.
 	Workers int
 	// EarlyStop reports whether the adaptive bound ended the pass before
 	// the budget; Bound is the certified half-width at the last check
@@ -218,7 +229,14 @@ func (e *Engine) SetHeadBase(base [][]float64) { e.headBase = base }
 // returned slices; the next pass replaces them.
 func (e *Engine) HeadValues() [][]float64 { return e.headVals }
 
-func (e *Engine) adaptive() bool { return e.eps > 0 }
+// tracker returns the adaptive stop rule for a pass over n players, or nil
+// when adaptive mode is off.
+func (e *Engine) tracker(n int) *adaptiveTracker {
+	if e.eps <= 0 {
+		return nil
+	}
+	return newAdaptiveTracker(n, e.eps, e.delta)
+}
 
 // stopNow reports whether the adaptive stop rule ends a pass of budget tau
 // after issued permutations: at a chunk boundary, past adaptiveMinTau,
@@ -229,7 +247,19 @@ func (e *Engine) stopNow(trk *adaptiveTracker, issued, tau int) bool {
 		issued < tau && trk.met()
 }
 
-// effectiveWorkers resolves the worker option against the row count.
+// finishPass records how the pass that began at start ended after issued
+// permutations; trk is its stop rule, nil when off.
+func (e *Engine) finishPass(start time.Time, issued int, trk *adaptiveTracker) {
+	e.stats.Seconds = time.Since(start).Seconds()
+	e.stats.Issued = issued
+	e.stats.EarlyStop = issued < e.stats.Budget
+	if trk != nil {
+		e.stats.Bound = trk.lastBound
+	}
+}
+
+// effectiveWorkers resolves the worker option against the number of work
+// items (permutations to walk, or array rows to stripe).
 func (e *Engine) effectiveWorkers(n int) int {
 	w := e.workers
 	if w <= 0 {
@@ -242,6 +272,162 @@ func (e *Engine) effectiveWorkers(n int) int {
 		w = 1
 	}
 	return w
+}
+
+// permSlot is one permutation in flight through walkRows: drawn by the
+// producer, walked into row by a helper or the producer itself, folded by
+// the producer. A pass uses the fields it needs; the buffers are regrown in
+// place from pass to pass and overwritten before they are read.
+type permSlot struct {
+	perm []int     // the drawn permutation; BatchAddSame: its k evolved forms
+	cuts []int     // BatchAddSame: each point's insertion and next-pivot slot
+	row  []float64 // the walked prefix utilities
+	walk int       // positions walked: the walk length, or where TMC cut
+	slot int       // pivot slot: Initialize's draw, BatchDeleteSame's evolved one
+	done chan struct{}
+}
+
+// permPass is one pass on the pipeline.
+type permPass struct {
+	tau, workers int
+	plen, rlen   int              // slot permutation and row lengths
+	trk          *adaptiveTracker // the stop rule, nil when off
+	// draw fills s with permutation t. The producer calls it in permutation
+	// order, so it may consume randomness.
+	draw func(s *permSlot, t int)
+	// walker builds one walker's evaluators and returns its walk, which
+	// fills s.row from what draw left in s. It is called once per walker.
+	walker func() func(s *permSlot)
+	// fold folds s into the pass's accumulators. The producer calls it in
+	// permutation order.
+	fold func(s *permSlot)
+}
+
+// slotsPerWorker bounds walkRows's permutations in flight. The producer
+// folds rows strictly in permutation order, so a walker that finishes early
+// needs queued permutations to stay busy; at n = 200 and k = 16, one or two
+// per worker measurably stalled the walkers and four did not. The rows stay
+// a small part of the heap.
+const slotsPerWorker = 4
+
+// walkRows is the engine's permutation pipeline; every pass runs on it. The
+// producer — the calling goroutine — draws p.tau permutations into slots in
+// order, walkers turn them into rows, and the producer hands every row to
+// p.fold in permutation order. Only fold writes accumulators, on one
+// goroutine, in the order the sequential references use, so the result is
+// bit-identical at any worker count.
+//
+// p.trk is the adaptive stop rule (nil when off): fold observes each row
+// into it, and the producer checks the rule after every fold, so the pass
+// stops after the same permutation at any worker count. walkRows returns
+// the number of permutations folded — p.tau unless the rule fired. On a
+// stop the producer first collects the rows still in flight, so no slot's
+// completion signal carries over into the engine's next pass; their draws
+// have then run past the folded permutations, so a pass that can stop
+// early draws from a source its caller does not reuse. Without a stop
+// exactly p.tau permutations are drawn.
+//
+// The producer is itself one of the walkers: it starts workers−1 helpers
+// and, while the row it must fold next is still being walked, walks the
+// oldest queued permutation instead of waiting. So no more goroutines walk
+// than there are workers, and the producer's draws and folds never wait
+// behind the walkers for a processor.
+//
+// On a game without an incremental evaluator whose utilities come from
+// scratch Value calls behind a shared game.Cached, two walkers may miss on
+// a coalition their permutations share (a prefix's first members); the
+// cache computes it once and the other waits, so the training count does
+// not depend on the worker count either.
+func (e *Engine) walkRows(p permPass) int {
+	slots := e.permSlots(min(p.tau, p.workers*slotsPerWorker), p.plen, p.rlen)
+	work := make(chan *permSlot, len(slots)) // never more sends in flight than slots
+	var wg sync.WaitGroup
+	wg.Add(p.workers - 1)
+	for w := 1; w < p.workers; w++ {
+		go func() {
+			defer wg.Done()
+			walk := p.walker()
+			for s := range work {
+				walk(s)
+				s.done <- struct{}{}
+			}
+		}()
+	}
+	issue := func(s *permSlot, t int) {
+		p.draw(s, t)
+		work <- s
+	}
+	for t, s := range slots {
+		issue(s, t)
+	}
+	own := p.walker()
+	issued := p.tau
+	for t := 0; t < p.tau; t++ {
+		s := slots[t%len(slots)] // holds permutation t
+		awaitRow(s, work, own)
+		p.fold(s)
+		if e.stopNow(p.trk, t+1, p.tau) {
+			issued = t + 1
+			for u := issued; u < min(t+len(slots), p.tau); u++ {
+				awaitRow(slots[u%len(slots)], work, own)
+			}
+			break
+		}
+		if t+len(slots) < p.tau {
+			issue(s, t+len(slots))
+		}
+	}
+	close(work)
+	wg.Wait()
+	return issued
+}
+
+// awaitRow returns once s's row is walked, walking queued permutations
+// with walk while it is not. A finished row is folded before any further
+// walk, so the producer never delays a fold it could make.
+func awaitRow(s *permSlot, work chan *permSlot, walk func(*permSlot)) {
+	for {
+		select {
+		case <-s.done:
+			return
+		default:
+		}
+		select {
+		case <-s.done:
+			return
+		case q := <-work:
+			walk(q)
+			q.done <- struct{}{}
+		}
+	}
+}
+
+// permSlots returns count pipeline slots sized for permutations of plen
+// entries and rows of rlen utilities, regrowing the engine's cached slots.
+func (e *Engine) permSlots(count, plen, rlen int) []*permSlot {
+	for len(e.scratch.slots) < count {
+		e.scratch.slots = append(e.scratch.slots, &permSlot{done: make(chan struct{}, 1)})
+	}
+	slots := e.scratch.slots[:count]
+	for _, s := range slots {
+		s.perm = reuseInts(s.perm, plen)
+		s.row = reuseFloats(s.row, rlen)
+	}
+	return slots
+}
+
+// prefixRows is the full walks' walker: it fills s.row[pos] with
+// U(s.perm[:pos+1]) for the first s.walk positions.
+func prefixRows(g game.Game) func() func(*permSlot) {
+	return func() func(*permSlot) {
+		w := newPrefixWalker(g)
+		return func(s *permSlot) {
+			w.reset()
+			for pos, p := range s.perm[:s.walk] {
+				s.row[pos] = w.add(p)
+			}
+		}
+	}
 }
 
 // stripeTarget is a structure whose per-permutation accumulation
@@ -262,6 +448,112 @@ type stripeTarget interface {
 	// [lo, hi) must not be touched, and neither may SV or τ — the
 	// producer owns those.
 	accumulateStripe(perm []int, utilities []float64, uEmpty float64, aux []int, lo, hi, walk int)
+}
+
+// stripeFan is a fill pass's stripe fan-out. The producer copies each
+// folded permutation and its utilities into a chunk; a full chunk goes to
+// every stripe worker, and worker w folds only its stripe lo ≤ i < hi of
+// every target, chunks in issue order and permutations in order within a
+// chunk. Two chunks alternate, so the producer fills one while the workers
+// drain the other.
+type stripeFan struct {
+	targets []stripeTarget
+	walk    int
+	chans   []chan *fillChunk
+	chunks  [2]*fillChunk
+	sent    int // chunks dispatched
+	fill    int // permutations in the chunk being filled
+	wg      sync.WaitGroup
+}
+
+// fillChunk is one batch of folded permutations in flight between the
+// producer and the stripe workers.
+type fillChunk struct {
+	count int
+	perms [][]int
+	utils [][]float64
+	aux   [][][]int // [perm][target]
+	wg    sync.WaitGroup
+}
+
+// newStripeFan starts workers stripe workers over n rows, fed chunks of
+// size permutations walked to walk positions.
+func newStripeFan(targets []stripeTarget, n, walk, size, workers int, uEmpty float64) *stripeFan {
+	f := &stripeFan{targets: targets, walk: walk, chans: make([]chan *fillChunk, workers)}
+	for i := range f.chunks {
+		c := &fillChunk{perms: make([][]int, size), utils: make([][]float64, size), aux: make([][][]int, size)}
+		for p := range c.perms {
+			c.perms[p] = make([]int, n)
+			c.utils[p] = make([]float64, n)
+			c.aux[p] = make([][]int, len(targets))
+			for ti, t := range targets {
+				c.aux[p][ti] = t.newAux()
+			}
+		}
+		f.chunks[i] = c
+	}
+	for wk := range f.chans {
+		// One send per chunk in flight: push refills a chunk only once
+		// every worker has drained it.
+		ch := make(chan *fillChunk, len(f.chunks))
+		f.chans[wk] = ch
+		lo, hi := wk*n/workers, (wk+1)*n/workers
+		f.wg.Add(1)
+		go func() {
+			defer f.wg.Done()
+			for c := range ch {
+				for p := 0; p < c.count; p++ {
+					for ti, t := range targets {
+						t.accumulateStripe(c.perms[p], c.utils[p], uEmpty, c.aux[p][ti], lo, hi, walk)
+					}
+				}
+				c.wg.Done()
+			}
+		}()
+	}
+	return f
+}
+
+// push queues one folded permutation for the stripe workers and returns the
+// array updates it costs.
+func (f *stripeFan) push(perm []int, utilities []float64) int64 {
+	c := f.chunks[f.sent%len(f.chunks)]
+	if f.fill == 0 {
+		c.wg.Wait() // the workers have drained this chunk's last dispatch
+	}
+	p := f.fill
+	copy(c.perms[p], perm)
+	copy(c.utils[p], utilities[:f.walk])
+	var updates int64
+	for ti, t := range f.targets {
+		updates += t.prepare(c.perms[p], c.aux[p][ti], f.walk)
+	}
+	if f.fill++; f.fill == len(c.perms) {
+		f.dispatch()
+	}
+	return updates
+}
+
+func (f *stripeFan) dispatch() {
+	c := f.chunks[f.sent%len(f.chunks)]
+	c.count = f.fill
+	c.wg.Add(len(f.chans))
+	for _, ch := range f.chans {
+		ch <- c
+	}
+	f.sent++
+	f.fill = 0
+}
+
+// close dispatches the partly filled chunk and waits for the workers.
+func (f *stripeFan) close() {
+	if f.fill > 0 {
+		f.dispatch()
+	}
+	for _, ch := range f.chans {
+		close(ch)
+	}
+	f.wg.Wait()
 }
 
 // walkLen resolves the engine's truncation against the player count: the
@@ -321,218 +613,82 @@ func (s *permSampler) next(perm []int) {
 	}
 }
 
-// fillRun describes one engine pass over sampled permutations.
+// fillRun describes one full-walk pass: Initialize, MonteCarlo or a
+// deletion-store fill.
 type fillRun struct {
 	g       game.Game
 	tau     int
 	r       *rng.Source
 	targets []stripeTarget
-	// perPerm runs in the producer after each permutation's utilities are
-	// filled; it may consume randomness (it runs in sample order) and
-	// owns all non-striped bookkeeping (Shapley sums, pivot LSV, kept
-	// permutations). Only utilities[0:walk] are valid.
-	perPerm func(perm []int, utilities []float64, uEmpty float64, walk int)
-	// freshPerms allocates a new permutation slice per sample so perPerm
-	// may retain it (KeepPerms); otherwise one buffer is reused.
-	freshPerms bool
 	// heads are the extra semivalue weightings this pass folds from the
-	// same walks (producer-side, after perPerm, consuming no randomness).
+	// same walks (after perPerm, consuming no randomness).
 	heads []semivalue.Weighting
+	// pivotSlots draws a pivot slot, uniform on 0..n, into s.slot after
+	// each permutation, the order in which the free Initialize draws.
+	pivotSlots bool
+	// perPerm folds one walked permutation into the pass's own sums
+	// (Shapley sums, pivot LSV, kept permutations). Only s.row[:s.walk] is
+	// valid.
+	perPerm func(s *permSlot, uEmpty float64)
 }
 
-// run executes the pass and returns the number of permutations issued.
+// run executes a full-walk pass on the pipeline and returns the number of
+// permutations issued: the producer draws each permutation, walkers walk
+// its first walkLen(n) prefixes, and the fold runs perPerm, the heads and
+// the stop rule's tracker, then queues the row for the stripe workers.
 // Callers guarantee n ≥ 1 and tau ≥ 1.
 func (e *Engine) run(fr fillRun) int {
 	n := fr.g.N()
-	workers := 1
-	if len(fr.targets) > 0 {
-		workers = e.effectiveWorkers(n)
-	}
+	walk := e.walkLen(n)
+	workers := e.effectiveWorkers(fr.tau)
 	e.stats = EngineStats{Budget: fr.tau, Workers: workers}
-	if e.walkLen(n) < n {
-		e.stats.Truncation = e.walkLen(n)
+	if walk < n {
+		e.stats.Truncation = walk
 	}
-
-	w := newPrefixWalker(fr.g)
 	uEmpty := fr.g.Value(bitset.New(n))
-	var trk *adaptiveTracker
-	if e.adaptive() {
-		trk = newAdaptiveTracker(n, e.eps, e.delta)
-	}
-	// Extra semivalue heads fold in the producer after perPerm — behind
-	// all randomness draws, outside all stripes — so they change neither
-	// the random stream nor any Shapley-path arithmetic.
+	trk := e.tracker(n)
+	// Extra semivalue heads fold after perPerm — behind all randomness
+	// draws, outside all stripes — so they change neither the random
+	// stream nor any Shapley-path arithmetic.
 	hf := newHeadFold(fr.heads, n)
 	e.headVals = nil
+	var fan *stripeFan
+	if len(fr.targets) > 0 {
+		fan = newStripeFan(fr.targets, n, walk, e.chunk, e.effectiveWorkers(n), uEmpty)
+	}
+	sampler := newPermSampler(fr.r, n, walk)
 
 	start := time.Now()
-	var issued int
-	if workers == 1 {
-		issued = e.runSerial(fr, w, uEmpty, trk, hf)
-	} else {
-		issued = e.runStriped(fr, w, uEmpty, trk, hf, workers)
+	issued := e.walkRows(permPass{
+		tau: fr.tau, workers: workers, plen: n, rlen: n, trk: trk,
+		draw: func(s *permSlot, _ int) {
+			sampler.next(s.perm)
+			s.walk = walk
+			if fr.pivotSlots {
+				s.slot = fr.r.Intn(n + 1)
+			}
+		},
+		walker: prefixRows(fr.g),
+		fold: func(s *permSlot) {
+			fr.perPerm(s, uEmpty)
+			if hf != nil {
+				hf.foldWalk(s.perm, s.row, uEmpty, walk)
+			}
+			if trk != nil {
+				trk.observeWalk(s.perm, s.row, uEmpty, walk)
+			}
+			if fan != nil {
+				e.stats.Updates += fan.push(s.perm, s.row)
+			}
+		},
+	})
+	if fan != nil {
+		fan.close()
 	}
-	e.stats.Seconds = time.Since(start).Seconds()
-	e.stats.Issued = issued
-	e.stats.EarlyStop = issued < fr.tau
-	if trk != nil {
-		e.stats.Bound = trk.lastBound
-	}
+	e.finishPass(start, issued, trk)
 	if hf != nil {
 		e.headVals = hf.finish(issued)
 	}
-	return issued
-}
-
-// runSerial is the single-goroutine path: produce and accumulate inline.
-// It performs exactly the accumulation sequence of the historic serial
-// fills, so delegating the serial entry points here changes nothing.
-func (e *Engine) runSerial(fr fillRun, w *prefixWalker, uEmpty float64, trk *adaptiveTracker, hf *headFold) int {
-	n := fr.g.N()
-	walk := e.walkLen(n)
-	sampler := newPermSampler(fr.r, n, walk)
-	perm := make([]int, n)
-	utilities := make([]float64, n)
-	auxes := make([][]int, len(fr.targets))
-	for ti, t := range fr.targets {
-		auxes[ti] = t.newAux()
-	}
-	issued := 0
-	for issued < fr.tau {
-		if fr.freshPerms {
-			perm = make([]int, n)
-		}
-		sampler.next(perm)
-		w.reset()
-		for pos := 0; pos < walk; pos++ {
-			utilities[pos] = w.add(perm[pos])
-		}
-		if fr.perPerm != nil {
-			fr.perPerm(perm, utilities, uEmpty, walk)
-		}
-		if hf != nil {
-			hf.foldWalk(perm, utilities, uEmpty, walk)
-		}
-		for ti, t := range fr.targets {
-			e.stats.Updates += t.prepare(perm, auxes[ti], walk)
-			t.accumulateStripe(perm, utilities, uEmpty, auxes[ti], 0, n, walk)
-		}
-		if trk != nil {
-			trk.observeWalk(perm, utilities, uEmpty, walk)
-		}
-		issued++
-		if e.stopNow(trk, issued, fr.tau) {
-			break
-		}
-	}
-	return issued
-}
-
-// fillChunk is one batch of sampled permutations in flight between the
-// producer and the stripe workers.
-type fillChunk struct {
-	count int
-	perms [][]int
-	utils [][]float64
-	aux   [][][]int // [perm][target]
-	wg    sync.WaitGroup
-}
-
-// runStriped is the parallel path: the producer fills double-buffered
-// chunks and broadcasts each to every worker; worker w folds only its
-// stripe. The producer overlaps sampling chunk c+1 with the accumulation
-// of chunk c; the adaptive bound is producer-side, so the stop decision
-// never waits on workers and is identical at every worker count.
-func (e *Engine) runStriped(fr fillRun, w *prefixWalker, uEmpty float64, trk *adaptiveTracker, hf *headFold, workers int) int {
-	n := fr.g.N()
-	walk := e.walkLen(n)
-	sampler := newPermSampler(fr.r, n, walk)
-	const depth = 2
-	slots := make([]*fillChunk, depth)
-	for s := range slots {
-		c := &fillChunk{
-			perms: make([][]int, e.chunk),
-			utils: make([][]float64, e.chunk),
-			aux:   make([][][]int, e.chunk),
-		}
-		for p := 0; p < e.chunk; p++ {
-			if !fr.freshPerms {
-				c.perms[p] = make([]int, n)
-			}
-			c.utils[p] = make([]float64, n)
-			c.aux[p] = make([][]int, len(fr.targets))
-			for ti, t := range fr.targets {
-				c.aux[p][ti] = t.newAux()
-			}
-		}
-		slots[s] = c
-	}
-
-	chans := make([]chan *fillChunk, workers)
-	var wwg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		chans[wk] = make(chan *fillChunk, depth)
-		lo, hi := wk*n/workers, (wk+1)*n/workers
-		wwg.Add(1)
-		go func(lo, hi int, ch chan *fillChunk) {
-			defer wwg.Done()
-			for c := range ch {
-				for p := 0; p < c.count; p++ {
-					for ti, t := range fr.targets {
-						t.accumulateStripe(c.perms[p], c.utils[p], uEmpty, c.aux[p][ti], lo, hi, walk)
-					}
-				}
-				c.wg.Done()
-			}
-		}(lo, hi, chans[wk])
-	}
-
-	issued := 0
-	for si := 0; issued < fr.tau; si++ {
-		c := slots[si%depth]
-		c.wg.Wait() // previous dispatch of this buffer fully drained
-		count := e.chunk
-		if rem := fr.tau - issued; rem < count {
-			count = rem
-		}
-		c.count = count
-		for p := 0; p < count; p++ {
-			if fr.freshPerms {
-				c.perms[p] = make([]int, n)
-			}
-			perm := c.perms[p]
-			sampler.next(perm)
-			w.reset()
-			u := c.utils[p]
-			for pos := 0; pos < walk; pos++ {
-				u[pos] = w.add(perm[pos])
-			}
-			if fr.perPerm != nil {
-				fr.perPerm(perm, u, uEmpty, walk)
-			}
-			if hf != nil {
-				hf.foldWalk(perm, u, uEmpty, walk)
-			}
-			for ti, t := range fr.targets {
-				e.stats.Updates += t.prepare(perm, c.aux[p][ti], walk)
-			}
-			if trk != nil {
-				trk.observeWalk(perm, u, uEmpty, walk)
-			}
-		}
-		c.wg.Add(workers)
-		for _, ch := range chans {
-			ch <- c
-		}
-		issued += count
-		if e.stopNow(trk, issued, fr.tau) {
-			break
-		}
-	}
-	for _, ch := range chans {
-		close(ch)
-	}
-	wwg.Wait()
 	return issued
 }
 
@@ -563,8 +719,8 @@ func (e *Engine) PreprocessDeletionWith(g game.Game, tau int, r *rng.Source, cfg
 		heads:   e.heads,
 		// The producer owns the Shapley sums; the store's striped
 		// accumulation covers only the arrays.
-		perPerm: func(perm []int, utilities []float64, uEmpty float64, walk int) {
-			accumulateMarginals(perm, utilities, uEmpty, ds.SV, walk)
+		perPerm: func(s *permSlot, uEmpty float64) {
+			accumulateMarginals(s.perm, s.row, uEmpty, ds.SV, s.walk)
 		},
 	})
 	ds.tau = issued
@@ -593,8 +749,8 @@ func (e *Engine) PreprocessMultiDeletionWith(g game.Game, d int, candidates []in
 		g: g, tau: tau, r: r,
 		targets: []stripeTarget{ms},
 		heads:   e.heads,
-		perPerm: func(perm []int, utilities []float64, uEmpty float64, walk int) {
-			accumulateMarginals(perm, utilities, uEmpty, ms.SV, walk)
+		perPerm: func(s *permSlot, uEmpty float64) {
+			accumulateMarginals(s.perm, s.row, uEmpty, ms.SV, s.walk)
 		},
 	})
 	ms.tau = issued
@@ -604,8 +760,9 @@ func (e *Engine) PreprocessMultiDeletionWith(g game.Game, d int, candidates []in
 
 // Initialize is the combined initialisation pass (Shapley estimates,
 // pivot LSV, and any requested deletion stores) through the engine:
-// identical sampling to the package-level Initialize, with the store
-// fills striped across workers and optional adaptive early termination.
+// identical sampling to the package-level Initialize, with the walks spread
+// over the workers, the store fills striped across them, and optional
+// adaptive early termination.
 func (e *Engine) Initialize(g game.Game, tau int, opt InitOptions, r *rng.Source) (*InitResult, error) {
 	n := g.N()
 	if opt.KeepPerms && e.walkLen(n) < n {
@@ -657,26 +814,13 @@ func (e *Engine) Initialize(g game.Game, tau int, opt InitOptions, r *rng.Source
 	issued := e.run(fillRun{
 		g: g, tau: tau, r: r,
 		targets:    targets,
-		freshPerms: opt.KeepPerms,
 		heads:      heads,
-		perPerm: func(perm []int, utilities []float64, uEmpty float64, walk int) {
-			// Same randomness order as the historic loop: the slot draw
-			// follows the permutation draw (the walker consumes none).
-			t := r.Intn(n + 1)
-			prev := uEmpty
-			for pos := 0; pos < walk; pos++ {
-				p := perm[pos]
-				cur := utilities[pos]
-				m := cur - prev
-				st.SV[p] += m
-				if pos < t {
-					st.LSV[p] += m
-				}
-				prev = cur
-			}
+		pivotSlots: true,
+		perPerm: func(s *permSlot, uEmpty float64) {
+			foldPivot(s.perm, s.row, uEmpty, 0, s.walk, s.slot, st.SV, st.LSV)
 			if opt.KeepPerms {
-				st.perms = append(st.perms, perm)
-				st.slots = append(st.slots, t)
+				st.perms = append(st.perms, slices.Clone(s.perm))
+				st.slots = append(st.slots, s.slot)
 			}
 		},
 	})
@@ -702,9 +846,30 @@ func (e *Engine) Initialize(g game.Game, tau int, opt InitOptions, r *rng.Source
 	return res, nil
 }
 
-// MonteCarlo is Algorithm 1 through the engine: permutation sampling in
-// chunks with optional adaptive early termination. With adaptive mode off
-// it is bit-identical to the package-level MonteCarlo for the same seed.
+// foldPivot folds positions from ≤ pos < to of one walked permutation into
+// the Shapley sums sv and the left-of-pivot sums lsv: row[pos] is
+// U(perm[:pos+1]) and prev is U(perm[:from]). Each player's marginal goes
+// to sv, and to lsv too when its position lies before the pivot slot. It
+// returns the number of positions folded.
+func foldPivot(perm []int, row []float64, prev float64, from, to, slot int, sv, lsv []float64) int64 {
+	for pos := from; pos < to; pos++ {
+		p := perm[pos]
+		cur := row[pos]
+		m := cur - prev
+		sv[p] += m
+		if pos < slot {
+			lsv[p] += m
+		}
+		prev = cur
+	}
+	return int64(to - from)
+}
+
+// MonteCarlo is Algorithm 1 through the engine: τ random permutations are
+// scanned head to tail and each player is credited its marginal
+// contribution; the estimate is the average. The walks spread over the
+// workers, adaptive early termination is optional, and the result is the
+// same at every worker count.
 func (e *Engine) MonteCarlo(g game.Game, tau int, r *rng.Source) []float64 {
 	n := g.N()
 	sv := make([]float64, n)
@@ -715,8 +880,8 @@ func (e *Engine) MonteCarlo(g game.Game, tau int, r *rng.Source) []float64 {
 	issued := e.run(fillRun{
 		g: g, tau: tau, r: r,
 		heads: e.heads,
-		perPerm: func(perm []int, utilities []float64, uEmpty float64, walk int) {
-			accumulateMarginals(perm, utilities, uEmpty, sv, walk)
+		perPerm: func(s *permSlot, uEmpty float64) {
+			accumulateMarginals(s.perm, s.row, uEmpty, sv, s.walk)
 		},
 	})
 	for i := range sv {
@@ -736,71 +901,65 @@ func accumulateMarginals(perm []int, utilities []float64, uEmpty float64, sv []f
 	}
 }
 
-// TruncatedMonteCarlo is TMC through the engine. Truncation skips the
-// tail's utility evaluations, so this pass cannot share run()'s full-walk
-// producer; the chunked adaptive loop is inlined instead. Truncated
-// players observe a zero contribution — exactly what the estimator
-// credits them. With adaptive mode off it is bit-identical to the
-// package-level TruncatedMonteCarlo.
+// TruncatedMonteCarlo is Monte Carlo with Ghorbani–Zou truncation: once
+// the prefix utility is within tol of the full-coalition utility, the
+// remaining players of the permutation are credited zero marginal
+// contribution, saving their model trainings. Following the paper's
+// experimental setup (§VII-A), truncation is only allowed from position
+// ⌈n/2⌉ onward. Each walker records where its walk was cut; the fold
+// credits the walked prefix and, for the stop rule, a zero contribution to
+// every player past the cut. It draws plain uniform permutations and
+// ignores WithTruncation.
 func (e *Engine) TruncatedMonteCarlo(g game.Game, tau int, tol float64, r *rng.Source) []float64 {
 	n := g.N()
 	sv := make([]float64, n)
-	e.stats = EngineStats{Budget: tau, Workers: 1}
+	workers := e.effectiveWorkers(tau)
+	e.stats = EngineStats{Budget: tau, Workers: workers}
 	e.headVals = nil
 	if n == 0 || tau <= 0 {
 		return sv
 	}
-	perm := make([]int, n)
-	w := newPrefixWalker(g)
 	empty := g.Value(bitset.New(n))
 	full := g.Value(bitset.Full(n))
 	minPos := (n + 1) / 2
-	var trk *adaptiveTracker
-	if e.adaptive() {
-		trk = newAdaptiveTracker(n, e.eps, e.delta)
-	}
+	trk := e.tracker(n)
 	// Extra heads see the same truncation as the Shapley estimate: a
 	// position past the cut is credited zero for every weighting.
 	hf := newHeadFold(e.heads, n)
 	start := time.Now()
-	issued := 0
-	for issued < tau {
-		r.Perm(perm)
-		w.reset()
-		prev := empty
-		for pos, p := range perm {
-			if pos >= minPos && abs(full-prev) < tol {
-				if trk != nil {
-					for _, q := range perm[pos:] {
-						trk.observe(q, 0)
+	issued := e.walkRows(permPass{
+		tau: tau, workers: workers, plen: n, rlen: n, trk: trk,
+		draw: func(s *permSlot, _ int) { r.Perm(s.perm) },
+		walker: func() func(*permSlot) {
+			w := newPrefixWalker(g)
+			return func(s *permSlot) {
+				w.reset()
+				prev := empty
+				s.walk = n
+				for pos, p := range s.perm {
+					if pos >= minPos && abs(full-prev) < tol {
+						s.walk = pos
+						break
 					}
+					prev = w.add(p)
+					s.row[pos] = prev
 				}
-				break
 			}
-			cur := w.add(p)
-			sv[p] += cur - prev
+		},
+		fold: func(s *permSlot) {
+			accumulateMarginals(s.perm, s.row, empty, sv, s.walk)
 			if hf != nil {
-				hf.foldPos(pos, p, cur-prev)
+				hf.foldWalk(s.perm, s.row, empty, s.walk)
 			}
 			if trk != nil {
-				trk.observe(p, cur-prev)
+				for _, q := range s.perm[s.walk:] {
+					trk.observe(q, 0)
+				}
+				trk.observeWalk(s.perm, s.row, empty, s.walk)
 			}
-			prev = cur
-		}
-		if trk != nil {
-			trk.endSample()
-		}
-		issued++
-		if e.stopNow(trk, issued, tau) {
-			break
-		}
-	}
-	e.stats.Seconds = time.Since(start).Seconds()
-	e.stats.Issued = issued
-	e.stats.EarlyStop = issued < tau
-	if trk != nil {
-		e.stats.Bound = trk.lastBound
-	}
+		},
+	})
+	e.finishPass(start, issued, trk)
 	if hf != nil {
 		e.headVals = hf.finish(issued)
 	}
@@ -808,6 +967,13 @@ func (e *Engine) TruncatedMonteCarlo(g game.Game, tau int, tol float64, r *rng.S
 		sv[i] /= float64(issued)
 	}
 	return sv
+}
+
+func abs(x float64) float64 {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // adaptiveTracker maintains the per-player moments behind the stopping

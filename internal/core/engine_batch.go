@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"dynshap/internal/bitset"
@@ -10,7 +9,7 @@ import (
 	"dynshap/internal/rng"
 )
 
-// This file implements the batched update walk: for a batch of k pending
+// This file implements the batched update walks: for a batch of k pending
 // points, each sampled permutation is walked ONCE, with all k points
 // evaluated against shared prefix state, instead of k separate τ-walks
 // each re-deriving its prefixes.
@@ -28,42 +27,36 @@ import (
 //     prefixWalker.
 //
 //   - BatchAddSame shares the stored-permutation evolution. The producer
-//     threads each stored permutation through all k pivot insertions
-//     (slot draws in arrival order), and the k suffix walks — one per
-//     pending point — proceed independently from the recorded insertion
-//     slots.
+//     threads each stored permutation through all k pivot insertions (slot
+//     draws in arrival order), and a walker walks the k suffixes — one per
+//     pending point — from the recorded insertion slots into one row.
 //
-// The delta form runs on a permutation pipeline (walkDeltaRows): the
-// producer draws permutations in RNG order, workers — the producer among
-// them — walk whole permutations into rows, and the producer folds the
-// rows into the per-point accumulators in permutation order. The pivot
-// form stripes over the PENDING POINTS: every per-point accumulator
-// (rsv_j, dlsv_j) is owned
-// by exactly one worker, which processes chunks in issue order and
-// permutations in order within a chunk. Either way each accumulator
+// Both run on the engine's permutation pipeline (walkRows, engine.go): the
+// producer draws in RNG order, walkers — the producer among them — walk
+// whole permutations into rows, and the producer folds the rows into the
+// per-point accumulators in permutation order. Each accumulator so
 // receives its floating-point additions in exactly the sequential
 // reference's order, and all randomness is consumed in the producer in the
 // reference's per-source order. Together that makes both passes
 // bit-identical to their batch.go references — and, for the pivot form, to
-// the session's historic per-point AddSame loop — at any worker count.
+// the per-point AddSame loop — at any worker count.
 //
-// A single-point update is the delta form at k = 1, and only there does
-// adaptive early termination (WithTargetError) apply: the producer checks
-// the stop rule after each in-order fold. At k > 1 the stopping decision
-// would couple the k points' budgets (they share permutations), so a batch
-// spends its full τ, as does every pivot pass; Stats report Issued ==
-// Budget.
+// A single-point update is the k = 1 case of either pass, and only the
+// delta form honours adaptive early termination (WithTargetError), there:
+// the producer checks the stop rule after each in-order fold. At k > 1 the
+// stopping decision would couple the k points' budgets (they share
+// permutations), so a batch spends its full τ, as does every pivot pass;
+// Stats report Issued == Budget.
 
-// batchScratch holds the batched walks' cached buffers (see the Engine
-// field's doc for the ownership argument).
+// batchScratch holds the engine's cached buffers (see the Engine field's
+// doc for the ownership argument): the per-point accumulators and one slot
+// pool that serves every pass.
 type batchScratch struct {
 	dsv  [][]float64
 	rsv  [][]float64
 	dlsv [][]float64
 
-	deltaSlots []*deltaSlot
-	pivotSlots []*pivotBatchChunk
-	delSlots   []*deleteSameChunk
+	slots []*permSlot
 }
 
 // reuseInts returns a length-n int buffer, reusing s's storage when it
@@ -176,8 +169,8 @@ func (e *Engine) BatchDeltaAdd(gPlus game.Game, oldSV []float64, k, tau int, r *
 	// share permutations, so one certificate would cut every point's budget:
 	// the pass spends its full τ.
 	var trk *adaptiveTracker
-	if e.adaptive() && k == 1 {
-		trk = newAdaptiveTracker(m, e.eps, e.delta)
+	if k == 1 {
+		trk = e.tracker(m)
 	}
 
 	start := time.Now()
@@ -213,8 +206,7 @@ func (e *Engine) BatchDeltaAdd(gPlus game.Game, oldSV []float64, k, tau int, r *
 			observeDeltaAdd(trk, perm, row, uEmpty, uPivot[0])
 		}
 	})
-	e.stats.Seconds = time.Since(start).Seconds()
-	e.finishDeltaStats(trk, issued, tau)
+	e.finishPass(start, issued, trk)
 	e.stats.Updates = int64(issued) * int64(k) * int64(n)
 
 	out := make([]float64, m)
@@ -264,143 +256,27 @@ func observeDeltaAdd(trk *adaptiveTracker, perm []int, row []float64, uEmpty, uP
 	trk.endSample()
 }
 
-// finishDeltaStats records how a delta pass of budget tau ended after
-// issued permutations.
-func (e *Engine) finishDeltaStats(trk *adaptiveTracker, issued, tau int) {
-	e.stats.Issued = issued
-	e.stats.EarlyStop = issued < tau
-	if trk != nil {
-		e.stats.Bound = trk.lastBound
-	}
-}
-
-// deltaSlot is one permutation in flight through walkDeltaRows: drawn by
-// the producer, walked into row by a helper or the producer itself, folded
-// by the producer.
-type deltaSlot struct {
-	perm []int
-	row  []float64
-	done chan struct{}
-}
-
-// slotsPerWorker bounds walkDeltaRows's permutations in flight. The
-// producer folds rows strictly in permutation order, so a walker that
-// finishes early needs queued permutations to stay busy; at n = 200 and
-// k = 16, one or two per worker measurably stalled the walkers and four
-// did not. The rows — (k+1)·n utilities each — stay a small part of the
-// heap.
-const slotsPerWorker = 4
-
-// walkDeltaRows is the delta passes' permutation pipeline. The producer —
-// the calling goroutine — draws tau permutations of len(players) positions
-// in RNG order and translates each position through players; walkers turn
-// whole permutations into rows of len(players)·(k+1) utilities, the base
-// chain at column 0 and pivot j's with-chain at column 1+j of each
-// position's stride; the producer hands every row to fold in permutation
-// order. Only fold writes accumulators, on one goroutine, in the order the
-// sequential references use, so the result is bit-identical at any worker
-// count.
-//
-// trk is the adaptive stop rule (nil when off): fold observes each row into
-// it, and the producer checks the rule after every fold, so the pass stops
-// after the same permutation at any worker count. walkDeltaRows returns the
-// number of permutations folded — tau unless the rule fired. On a stop the
-// producer first collects the rows still in flight, so no slot's
-// completion signal carries over into the engine's next pass; r is then
-// left past the folded permutations by those rows' draws, so callers hand
-// in a source they do not reuse.
-//
-// The producer is itself one of the walkers: it starts workers−1
-// helpers and, while the row it must fold next is still being walked,
-// walks the oldest queued permutation instead of waiting. So no more
-// goroutines run than there are workers, and the producer's draws and
-// folds — about a seventh of a fused walk's cost — never wait behind the
-// walkers for a processor.
-//
-// On a game without a pivot-aware evaluator whose utilities come from
-// scratch Value calls behind a shared game.Cached, two walkers may miss on
-// a coalition their permutations share (a prefix's first members); the
-// cache computes it once and the other waits, so the training count does
-// not depend on the worker count either.
+// walkDeltaRows runs a delta pass on the pipeline. The producer draws tau
+// permutations of len(players) positions from r and translates each
+// position through players; walkers turn each into a row of
+// len(players)·(k+1) utilities, the base chain at column 0 and pivot j's
+// with-chain at column 1+j of each position's stride; fold receives the
+// rows in permutation order. trk is the stop rule, nil when off.
 func (e *Engine) walkDeltaRows(g game.Game, players, pivots []int, uPivot []float64, tau, workers int, trk *adaptiveTracker, r *rng.Source, fold func(perm []int, row []float64)) int {
-	slots := e.deltaSlots(min(tau, workers*slotsPerWorker), len(players), len(players)*(len(pivots)+1))
-	work := make(chan *deltaSlot, len(slots)) // never more sends in flight than slots
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
+	return e.walkRows(permPass{
+		tau: tau, workers: workers, plen: len(players), rlen: len(players) * (len(pivots) + 1), trk: trk,
+		draw: func(s *permSlot, _ int) {
+			r.Perm(s.perm)
+			for i, idx := range s.perm {
+				s.perm[i] = players[idx]
+			}
+		},
+		walker: func() func(*permSlot) {
 			ev := pivotRows(g, pivots, uPivot)
-			for s := range work {
-				ev.Walk(s.perm, s.row)
-				s.done <- struct{}{}
-			}
-		}()
-	}
-	draw := func(s *deltaSlot) {
-		r.Perm(s.perm)
-		for i, idx := range s.perm {
-			s.perm[i] = players[idx]
-		}
-		work <- s
-	}
-	for _, s := range slots {
-		draw(s)
-	}
-	own := pivotRows(g, pivots, uPivot)
-	issued := tau
-	for t := 0; t < tau; t++ {
-		s := slots[t%len(slots)] // holds permutation t
-		awaitRow(s, work, own)
-		fold(s.perm, s.row)
-		if e.stopNow(trk, t+1, tau) {
-			issued = t + 1
-			for u := issued; u < min(t+len(slots), tau); u++ {
-				awaitRow(slots[u%len(slots)], work, own)
-			}
-			break
-		}
-		if t+len(slots) < tau {
-			draw(s)
-		}
-	}
-	close(work)
-	wg.Wait()
-	return issued
-}
-
-// awaitRow returns once s's row is walked, walking queued permutations
-// with ev while it is not. A finished row is folded before any further
-// walk, so the producer never delays a fold it could make.
-func awaitRow(s *deltaSlot, work chan *deltaSlot, ev game.PivotPrefixEvaluator) {
-	for {
-		select {
-		case <-s.done:
-			return
-		default:
-		}
-		select {
-		case <-s.done:
-			return
-		case q := <-work:
-			ev.Walk(q.perm, q.row)
-			q.done <- struct{}{}
-		}
-	}
-}
-
-// deltaSlots returns count pipeline slots sized for permutations of plen
-// players and rows of rlen utilities, reusing the engine's cached slots.
-func (e *Engine) deltaSlots(count, plen, rlen int) []*deltaSlot {
-	for len(e.scratch.deltaSlots) < count {
-		e.scratch.deltaSlots = append(e.scratch.deltaSlots, &deltaSlot{done: make(chan struct{}, 1)})
-	}
-	slots := e.scratch.deltaSlots[:count]
-	for _, s := range slots {
-		s.perm = reuseInts(s.perm, plen)
-		s.row = reuseFloats(s.row, rlen)
-	}
-	return slots
+			return func(s *permSlot) { ev.Walk(s.perm, s.row) }
+		},
+		fold: func(s *permSlot) { fold(s.perm, s.row) },
+	})
 }
 
 // pivotRows returns one worker's row walker: the game's pivot-aware
@@ -437,34 +313,19 @@ func (c *chainRows) Walk(perm []int, row []float64) {
 	}
 }
 
-// pivotBatchStep records one pending point's insertion into one stored
-// permutation: the evolved permutation (pivots 0..j included), the slot
-// the point landed in (where the suffix walk starts), and the slot drawn
-// for the NEXT pivot (the dlsv cutoff).
-type pivotBatchStep struct {
-	perm  []int
-	tslot int
-	next  int
-}
-
-// pivotBatchChunk is one batch of evolved stored permutations in flight.
-type pivotBatchChunk struct {
-	count int
-	steps [][]pivotBatchStep // [perm][pending point]
-	wg    sync.WaitGroup
-}
-
 // BatchAddSame runs the batched Pivot-s walk (Algorithm 3 generalised to
-// k pending points): every stored permutation is threaded through all k
-// pivot insertions by the producer, and the k suffix walks proceed from
-// the recorded slots, striped across workers by pending point. st is
-// mutated exactly as k successive AddSame calls would mutate it (evolved
-// permutations, final slots, folded SV/LSV); rs supplies one RNG source
-// per pending point in arrival order, each consumed once per stored
+// k pending points) on the pipeline. The producer threads every stored
+// permutation through all k pivot insertions; a walker walks the k suffix
+// walks — point j's evolved permutation from the slot j landed in — into
+// one row; the fold adds each suffix's marginals to point j's accumulators
+// rsv_j and dlsv_j (the latter up to the slot drawn for the next pivot).
+// st is mutated exactly as k successive AddSame calls would mutate it
+// (evolved permutations, final slots, folded SV/LSV); rs supplies one RNG
+// source per pending point in arrival order, each consumed once per stored
 // permutation — the same per-source order as the sequential loop.
-// Bit-identical to BatchAddSameSeq (and therefore to the per-point
-// AddSame loop) for the same sources at every worker count; requires a
-// state built with keepPerms.
+// Bit-identical to BatchAddSameSeq (and therefore to the per-point AddSame
+// loop) for the same sources at every worker count; requires a state built
+// with keepPerms.
 func (e *Engine) BatchAddSame(st *PivotState, gPlus game.Game, k int, rs []*rng.Source) ([]float64, error) {
 	if st.perms == nil {
 		return nil, ErrNoPermutations
@@ -477,7 +338,8 @@ func (e *Engine) BatchAddSame(st *PivotState, gPlus game.Game, k int, rs []*rng.
 		return nil, fmt.Errorf("core: BatchAddSame got %d RNG sources for %d points", len(rs), k)
 	}
 	m := n + k
-	workers := e.effectiveWorkers(k)
+	tau := len(st.perms)
+	workers := e.effectiveWorkers(tau)
 	e.stats = EngineStats{Budget: st.Tau, Workers: workers}
 	// The pivot walk cannot carry extra heads: its suffix walks and LSV
 	// recurrence are Shapley-specific (the planner never routes a
@@ -490,11 +352,40 @@ func (e *Engine) BatchAddSame(st *PivotState, gPlus game.Game, k int, rs []*rng.
 	if game.PrefixEvaluatorOf(gPlus) != nil {
 		uEmpty = gPlus.Value(bitset.New(m))
 	}
+	// A slot holds point j's evolved permutation (n+j+1 players) at
+	// perm[j·m:] and its suffix utilities at row[j·(m+1):], where u[pos] is
+	// U(perm_j[:pos]) for pos from j's insertion slot to the end.
+	segment := func(s *permSlot, j int) ([]int, []float64) {
+		return s.perm[j*m : j*m+n+j+1], s.row[j*(m+1) : j*(m+1)+n+j+2]
+	}
 
 	start := time.Now()
-	e.stats.Updates = e.runPivotBatchStriped(st, gPlus, n, k, rs, uEmpty, rsv, dlsv, workers)
-	e.stats.Seconds = time.Since(start).Seconds()
-	e.stats.Issued = st.Tau
+	e.walkRows(permPass{
+		tau: tau, workers: workers, plen: k * m, rlen: k * (m + 1),
+		draw: func(s *permSlot, t int) { evolvePivotPerm(st, t, n, k, rs, s) },
+		walker: func() func(*permSlot) {
+			w := newPrefixWalker(gPlus)
+			return func(s *permSlot) {
+				for j := 0; j < k; j++ {
+					pj, u := segment(s, j)
+					tslot := s.cuts[2*j]
+					w.reset()
+					u[tslot] = w.advance(pj, tslot, uEmpty)
+					for pos := tslot; pos < len(pj); pos++ {
+						u[pos+1] = w.add(pj[pos])
+					}
+				}
+			}
+		},
+		fold: func(s *permSlot) {
+			for j := 0; j < k; j++ {
+				pj, u := segment(s, j)
+				tslot, next := s.cuts[2*j], s.cuts[2*j+1]
+				e.stats.Updates += foldPivot(pj, u[1:], u[tslot], tslot, len(pj), next, rsv[j], dlsv[j])
+			}
+		},
+	})
+	e.finishPass(start, tau, nil)
 
 	// Fold the k points' contributions in arrival order — the exact
 	// SV/LSV recurrence k successive AddSame folds apply, with each step's
@@ -515,141 +406,29 @@ func (e *Engine) BatchAddSame(st *PivotState, gPlus game.Game, k int, rs []*rng.
 	return append([]float64(nil), sv...), nil
 }
 
-// reuseSteps returns a length-k step buffer, reusing *dst's entries (and
-// through them the per-step perm buffers evolvePivotPerm recycles).
-func reuseSteps(dst *[]pivotBatchStep, k int) []pivotBatchStep {
-	s := *dst
-	if cap(s) < k {
-		grown := make([]pivotBatchStep, k)
-		copy(grown, s[:cap(s)])
-		s = grown
-	} else {
-		s = s[:k]
-	}
-	*dst = s
-	return s
-}
-
 // evolvePivotPerm threads stored permutation t through all k pivot
-// insertions, recording one step per pending point, and installs the
-// final permutation and slot back into the state — exactly what k
-// successive AddSame iterations over this permutation do. It consumes one
-// Intn draw from each source, in arrival order.
-//
-// Each step's perm buffer is recycled from the previous call (steps
-// buffers are single-owner: a chunk slot drains its steps' walks before
-// they are re-evolved into), so the k insertions cost zero steady-state
-// allocations. The final permutation is COPIED into the state —
-// st.perms[t] is freshly cloned by the session for this update and must
-// outlive the recycled buffers.
-func (e *Engine) evolvePivotPerm(st *PivotState, t, n, k int, rs []*rng.Source, steps []pivotBatchStep) {
-	cur := st.perms[t]
-	tslot := st.slots[t]
+// insertions into slot s — exactly what k successive AddSame iterations
+// over this permutation do — and installs the final permutation and slot
+// back into the state. Point j's evolved permutation lands at
+// s.perm[j·(n+k):], and s.cuts[2j], s.cuts[2j+1] record the slot it was
+// inserted at (where its suffix walk starts) and the slot drawn for the
+// next pivot (its dlsv cutoff). It consumes one Intn draw from each source,
+// in arrival order. The final permutation is COPIED into the state:
+// st.perms[t] is cloned by the session for this update and must outlive
+// the slot.
+func evolvePivotPerm(st *PivotState, t, n, k int, rs []*rng.Source, s *permSlot) {
+	m := n + k
+	s.cuts = reuseInts(s.cuts, 2*k)
+	cur, tslot := st.perms[t], st.slots[t]
 	for j := 0; j < k; j++ {
-		pj := steps[j].perm
-		if cap(pj) < len(cur)+1 {
-			pj = make([]int, 0, len(cur)+1)
-		} else {
-			pj = pj[:0]
-		}
-		pj = append(pj, cur[:tslot]...)
-		pj = append(pj, n+j)
-		pj = append(pj, cur[tslot:]...)
+		pj := s.perm[j*m : j*m+len(cur)+1]
+		copy(pj, cur[:tslot])
+		pj[tslot] = n + j
+		copy(pj[tslot+1:], cur[tslot:])
 		next := rs[j].Intn(len(pj) + 1)
-		steps[j] = pivotBatchStep{perm: pj, tslot: tslot, next: next}
+		s.cuts[2*j], s.cuts[2*j+1] = tslot, next
 		cur, tslot = pj, next
 	}
 	st.perms[t] = append(st.perms[t][:0], cur...)
 	st.slots[t] = tslot
-}
-
-// pivotBatchWalk evaluates one pending point's suffix walk over one
-// evolved permutation — AddSame's inner loop verbatim — and returns the
-// number of accumulator updates for throughput accounting.
-func pivotBatchWalk(w *prefixWalker, s pivotBatchStep, uEmpty float64, rsv, dlsv []float64) int64 {
-	w.reset()
-	prev := w.advance(s.perm, s.tslot, uEmpty)
-	for pos := s.tslot; pos < len(s.perm); pos++ {
-		q := s.perm[pos]
-		cur := w.add(q)
-		mc := cur - prev
-		rsv[q] += mc
-		if pos < s.next {
-			dlsv[q] += mc
-		}
-		prev = cur
-	}
-	return int64(len(s.perm) - s.tslot)
-}
-
-// runPivotBatchStriped is BatchAddSame's walk at every worker count, one
-// included: the producer evolves stored permutations (consuming all
-// randomness) into double-buffered chunks; worker w walks only its
-// pending-point stripe. Per-point accumulators are single-writer and fed
-// in chunk issue order, so the result is bit-identical to the per-point
-// sequential loop.
-func (e *Engine) runPivotBatchStriped(st *PivotState, gPlus game.Game, n, k int, rs []*rng.Source, uEmpty float64, rsv, dlsv [][]float64, workers int) int64 {
-	const depth = 2
-	if e.scratch.pivotSlots == nil {
-		e.scratch.pivotSlots = make([]*pivotBatchChunk, depth)
-		for s := range e.scratch.pivotSlots {
-			e.scratch.pivotSlots[s] = &pivotBatchChunk{steps: make([][]pivotBatchStep, e.chunk)}
-		}
-	}
-	slots := e.scratch.pivotSlots
-	for _, c := range slots {
-		for p := 0; p < e.chunk; p++ {
-			c.steps[p] = reuseSteps(&c.steps[p], k)
-		}
-	}
-
-	counts := make([]int64, workers)
-	chans := make([]chan *pivotBatchChunk, workers)
-	var wwg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		chans[wk] = make(chan *pivotBatchChunk, depth)
-		jlo, jhi := wk*k/workers, (wk+1)*k/workers
-		wwg.Add(1)
-		go func(wk, jlo, jhi int, ch chan *pivotBatchChunk) {
-			defer wwg.Done()
-			w := newPrefixWalker(gPlus)
-			for c := range ch {
-				for p := 0; p < c.count; p++ {
-					for j := jlo; j < jhi; j++ {
-						counts[wk] += pivotBatchWalk(w, c.steps[p][j], uEmpty, rsv[j], dlsv[j])
-					}
-				}
-				c.wg.Done()
-			}
-		}(wk, jlo, jhi, chans[wk])
-	}
-
-	tau := len(st.perms)
-	issued := 0
-	for si := 0; issued < tau; si++ {
-		c := slots[si%depth]
-		c.wg.Wait()
-		count := e.chunk
-		if rem := tau - issued; rem < count {
-			count = rem
-		}
-		c.count = count
-		for p := 0; p < count; p++ {
-			e.evolvePivotPerm(st, issued+p, n, k, rs, c.steps[p])
-		}
-		c.wg.Add(workers)
-		for _, ch := range chans {
-			ch <- c
-		}
-		issued += count
-	}
-	for _, ch := range chans {
-		close(ch)
-	}
-	wwg.Wait()
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	return total
 }

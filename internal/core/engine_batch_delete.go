@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"dynshap/internal/bitset"
@@ -19,8 +18,8 @@ import (
 //     is the SAME for every point once permutations are drawn over the
 //     COMMON survivors, so each permutation is walked into one row of the
 //     shared chain plus the k with-chains — each seeded with its departing
-//     point — on engine_batch.go's permutation pipeline (walkDeltaRows),
-//     fused into one walk when the game offers a pivot-aware evaluator.
+//     point — through walkDeltaRows (engine_batch.go), fused into one walk
+//     when the game offers a pivot-aware evaluator.
 //
 //   - BatchDeleteSame evolves the stored permutations through all k
 //     removals first (pure integer bookkeeping, zero randomness, zero
@@ -31,15 +30,14 @@ import (
 //     while landing on bit-identical state: the final walk visits the
 //     same permutations in the same game either way.
 //
-// Parallelism follows engine_batch.go's contract. The delta form is
-// permutation-parallel with the producer folding rows in permutation
-// order; the pivot form has one shared pass, so it stripes over the PLAYER
-// ROWS of rsv/dlsv like the preprocessing fills, with the producer
-// publishing each walk's prefix utilities. Either way every accumulator is
-// written by one goroutine in the sequential references' order —
-// bit-identical to them at any worker count. All randomness (the delta
-// form's permutation draws) is consumed in the producer; the pivot form
-// consumes none at all.
+// Both run on the engine's permutation pipeline (walkRows, engine.go),
+// as engine_batch.go's passes do. The delta form's producer draws the
+// permutations; the pivot form's producer evolves the stored ones through
+// the k removals, and a walker walks each evolved permutation once. Either
+// way the producer folds the rows in permutation order, so every
+// accumulator is written by one goroutine in the sequential references'
+// order — bit-identical to them at any worker count. The pivot form
+// consumes no randomness at all.
 //
 // The single-point deletion is the delta form at k = 1, and only there do
 // the adaptive early stop and the extra semivalue heads apply. At k > 1
@@ -95,9 +93,7 @@ func (e *Engine) BatchDeltaDelete(g game.Game, oldSV []float64, points []int, ta
 	var trk *adaptiveTracker
 	var hf *delHeadFold
 	if k == 1 {
-		if e.adaptive() {
-			trk = newAdaptiveTracker(n, e.eps, e.delta)
-		}
+		trk = e.tracker(n)
 		hf = newDelHeadFold(e.heads, n)
 	}
 
@@ -128,8 +124,7 @@ func (e *Engine) BatchDeltaDelete(g game.Game, oldSV []float64, points []int, ta
 			observeDeltaDelete(trk, hf, perm, row, uEmpty, uP[0])
 		}
 	})
-	e.stats.Seconds = time.Since(start).Seconds()
-	e.finishDeltaStats(trk, issued, tau)
+	e.finishPass(start, issued, trk)
 	e.stats.Updates = int64(issued) * int64(k) * int64(c)
 
 	out := make([]float64, n)
@@ -171,17 +166,6 @@ func observeDeltaDelete(trk *adaptiveTracker, hf *delHeadFold, perm []int, row [
 	}
 }
 
-// deleteSameChunk is one batch of evolved permutations — with their
-// adjusted pivot slots and prefix utilities — in flight between the
-// producer and the row-striped workers.
-type deleteSameChunk struct {
-	count int
-	perms [][]int // aliases the state's evolved permutation buffers
-	slots []int
-	utils [][]float64
-	wg    sync.WaitGroup
-}
-
 // BatchDeleteSame runs the batched pivot deletion: the producer threads
 // every stored permutation through all k removals (deleteEvolveStep per
 // point, arrival order), then ONE full walk per evolved permutation in
@@ -208,7 +192,8 @@ func (e *Engine) BatchDeleteSame(st *PivotState, gMinus game.Game, points []int)
 	if gMinus.N() != m {
 		return nil, fmt.Errorf("core: BatchDeleteSame game has %d players, want %d", gMinus.N(), m)
 	}
-	workers := e.effectiveWorkers(m)
+	tau := len(st.perms)
+	workers := e.effectiveWorkers(tau)
 	e.stats = EngineStats{Budget: st.Tau, Workers: workers}
 	e.headVals = nil
 
@@ -229,10 +214,26 @@ func (e *Engine) BatchDeleteSame(st *PivotState, gMinus game.Game, points []int)
 	uEmpty := gMinus.Value(bitset.New(m))
 
 	start := time.Now()
-	e.runDeleteSameStriped(st, gMinus, rel, m, uEmpty, rsv, dlsv, workers)
-	e.stats.Seconds = time.Since(start).Seconds()
-	e.stats.Issued = st.Tau
-	e.stats.Updates = int64(st.Tau) * int64(m)
+	e.walkRows(permPass{
+		tau: tau, workers: workers, plen: m, rlen: m,
+		// The evolution rewrites the state's own permutation; the slot
+		// walks a copy, so the pool never aliases the state.
+		draw: func(s *permSlot, t int) {
+			perm, slot := st.perms[t], st.slots[t]
+			for _, d := range rel {
+				perm, slot = deleteEvolveStep(perm, slot, d)
+			}
+			st.perms[t], st.slots[t] = perm, slot
+			copy(s.perm, perm)
+			s.walk, s.slot = m, slot
+		},
+		walker: prefixRows(gMinus),
+		fold: func(s *permSlot) {
+			foldPivot(s.perm, s.row, uEmpty, 0, m, s.slot, rsv, dlsv)
+		},
+	})
+	e.finishPass(start, tau, nil)
+	e.stats.Updates = int64(tau) * int64(m)
 
 	sv := make([]float64, m)
 	lsv := make([]float64, m)
@@ -243,98 +244,4 @@ func (e *Engine) BatchDeleteSame(st *PivotState, gMinus game.Game, points []int)
 	st.SV = sv
 	st.LSV = lsv
 	return append([]float64(nil), sv...), nil
-}
-
-// runDeleteSameStriped is BatchDeleteSame's walk at every worker count,
-// one included. Unlike the per-point batch stripes there is only ONE walk
-// per permutation here, so
-// parallelism stripes over the PLAYER ROWS of rsv/dlsv (the fill engine's
-// pattern): the producer evolves each permutation, walks its prefix
-// utilities once, and ships (perm, slot, utils) chunks; worker w re-derives
-// the marginals from the utility diffs and folds only rows lo ≤ q < hi.
-// Single-owner rows fed in chunk issue order — bit-identical to the
-// sequential loop.
-func (e *Engine) runDeleteSameStriped(st *PivotState, gMinus game.Game, rel []int, m int, uEmpty float64, rsv, dlsv []float64, workers int) {
-	const depth = 2
-	if e.scratch.delSlots == nil {
-		e.scratch.delSlots = make([]*deleteSameChunk, depth)
-		for s := range e.scratch.delSlots {
-			e.scratch.delSlots[s] = &deleteSameChunk{
-				perms: make([][]int, e.chunk),
-				slots: make([]int, e.chunk),
-				utils: make([][]float64, e.chunk),
-			}
-		}
-	}
-	slots := e.scratch.delSlots
-	for _, c := range slots {
-		for p := 0; p < e.chunk; p++ {
-			c.utils[p] = reuseFloats(c.utils[p], m)
-		}
-	}
-
-	chans := make([]chan *deleteSameChunk, workers)
-	var wwg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		chans[wk] = make(chan *deleteSameChunk, depth)
-		lo, hi := wk*m/workers, (wk+1)*m/workers
-		wwg.Add(1)
-		go func(lo, hi int, ch chan *deleteSameChunk) {
-			defer wwg.Done()
-			for c := range ch {
-				for p := 0; p < c.count; p++ {
-					perm, slot, utils := c.perms[p], c.slots[p], c.utils[p]
-					prev := uEmpty
-					for pos, q := range perm {
-						cur := utils[pos]
-						if q >= lo && q < hi {
-							mc := cur - prev
-							rsv[q] += mc
-							if pos < slot {
-								dlsv[q] += mc
-							}
-						}
-						prev = cur
-					}
-				}
-				c.wg.Done()
-			}
-		}(lo, hi, chans[wk])
-	}
-
-	w := newPrefixWalker(gMinus)
-	tau := len(st.perms)
-	issued := 0
-	for si := 0; issued < tau; si++ {
-		c := slots[si%depth]
-		c.wg.Wait()
-		count := e.chunk
-		if rem := tau - issued; rem < count {
-			count = rem
-		}
-		c.count = count
-		for p := 0; p < count; p++ {
-			t := issued + p
-			perm, slot := st.perms[t], st.slots[t]
-			for _, d := range rel {
-				perm, slot = deleteEvolveStep(perm, slot, d)
-			}
-			st.perms[t], st.slots[t] = perm, slot
-			w.reset()
-			u := c.utils[p]
-			for pos, q := range perm {
-				u[pos] = w.add(q)
-			}
-			c.perms[p], c.slots[p] = perm, slot
-		}
-		c.wg.Add(workers)
-		for _, ch := range chans {
-			ch <- c
-		}
-		issued += count
-	}
-	for _, ch := range chans {
-		close(ch)
-	}
-	wwg.Wait()
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dynshap/internal/bitset"
+	"dynshap/internal/game"
 	"dynshap/internal/rng"
 )
 
@@ -150,19 +151,46 @@ func TestEngineInitializeBitIdentical(t *testing.T) {
 }
 
 // With adaptive mode off, the engine's estimator methods must be
-// bit-identical to their package-level counterparts (for the single-point
-// delta passes, the batch references at k = 1).
+// bit-identical to their sequential references (for the single-point delta
+// passes, the batch references at k = 1). Monte Carlo and TMC walk on
+// several goroutines, so they are checked at every worker count and at
+// chunk sizes that do and do not divide τ, on a table game and on a k-NN
+// game with its incremental evaluator visible and hidden. Each walk prices
+// the same prefixes whichever walker runs it, so the counted Value calls
+// (every utility, on the hidden game) and prefix adds equal the
+// reference's too.
 func TestEngineEstimatorsMatchSerial(t *testing.T) {
-	const n, tau = 13, 90
+	const n, tau, tol = 13, 90, 0.05
 	g := tableGame{n: n, seed: 9}
-
-	assertBitEqual(t, "MonteCarlo",
-		NewEngine().MonteCarlo(g, tau, rng.New(4)),
-		MonteCarlo(g, tau, rng.New(4)))
-
-	assertBitEqual(t, "TruncatedMonteCarlo",
-		NewEngine().TruncatedMonteCarlo(monotoneGame{n: n, seed: 2}, tau, 0.05, rng.New(4)),
-		TruncatedMonteCarlo(monotoneGame{n: n, seed: 2}, tau, 0.05, rng.New(4)))
+	u, hidden := knnPair(t, n)
+	for _, tc := range []struct {
+		name string
+		g    game.Game
+	}{{"table", g}, {"knn", u}, {"knn hidden", hidden}} {
+		ref := game.NewCounting(tc.g)
+		wantMC := MonteCarlo(ref, tau, rng.New(4))
+		mcCalls, mcAdds := ref.Calls(), ref.PrefixAdds()
+		ref = game.NewCounting(tc.g)
+		wantTMC := TruncatedMonteCarlo(ref, tau, tol, rng.New(4))
+		tmcCalls, tmcAdds := ref.Calls(), ref.PrefixAdds()
+		for _, workers := range []int{1, 2, 3, 8} {
+			for _, chunk := range []int{0, 5} {
+				e := NewEngine(WithWorkers(workers), WithChunkSize(chunk))
+				c := game.NewCounting(tc.g)
+				assertBitEqual(t, tc.name+" MonteCarlo", e.MonteCarlo(c, tau, rng.New(4)), wantMC)
+				if c.Calls() != mcCalls || c.PrefixAdds() != mcAdds {
+					t.Fatalf("%s MonteCarlo workers=%d chunk=%d: %d calls, %d prefix adds; reference %d, %d",
+						tc.name, workers, chunk, c.Calls(), c.PrefixAdds(), mcCalls, mcAdds)
+				}
+				c = game.NewCounting(tc.g)
+				assertBitEqual(t, tc.name+" TruncatedMonteCarlo", e.TruncatedMonteCarlo(c, tau, tol, rng.New(4)), wantTMC)
+				if c.Calls() != tmcCalls || c.PrefixAdds() != tmcAdds {
+					t.Fatalf("%s TruncatedMonteCarlo workers=%d chunk=%d: %d calls, %d prefix adds; reference %d, %d",
+						tc.name, workers, chunk, c.Calls(), c.PrefixAdds(), tmcCalls, tmcAdds)
+				}
+			}
+		}
+	}
 
 	gPlus := tableGame{n: n + 1, seed: 9}
 	oldSV := MonteCarlo(tableGame{n: n, seed: 9}, tau, rng.New(1))
@@ -323,29 +351,102 @@ func TestAdaptiveDeltaK1(t *testing.T) {
 	}
 }
 
-// The stop decision lives in the producer, so the issued τ — and the
-// filled arrays — must be identical at every worker count even when the
-// bound fires mid-run on a noisy game.
+// The stop decision lives in the producer, which sees only folded rows, so
+// the issued τ — and every output — must be identical at every worker count
+// even when the bound fires mid-run on a noisy game, and equal the
+// sequential reference run for exactly the issued τ. The rows still in
+// flight at the stop must not leak into the engine's next pass: a second
+// pass on the same engine equals a fresh engine's.
 func TestAdaptiveIssuedIndependentOfWorkers(t *testing.T) {
-	const n, budget = 20, 3000
+	const n, budget, tol = 20, 3000, 0.05
 	g := monotoneGame{n: n, seed: 17}
-	run := func(workers int) (*DeletionStore, EngineStats) {
-		e := NewEngine(WithTargetError(0.05, 0.05), WithWorkers(workers))
-		ds := e.PreprocessDeletion(g, budget, rng.New(30))
-		return ds, e.Stats()
-	}
-	ds1, st1 := run(1)
-	for _, workers := range []int{2, 4} {
-		dsW, stW := run(workers)
-		if stW.Issued != st1.Issued {
-			t.Fatalf("workers=%d issued %d, workers=1 issued %d", workers, stW.Issued, st1.Issued)
+	next := tableGame{n: n, seed: 19}
+	// Each pass returns its outputs as float slices; Initialize also
+	// returns its kept permutations and slots, so a count mismatch shows.
+	flatPivot := func(st *PivotState) [][]float64 {
+		var perms, slots []float64
+		for i, p := range st.perms {
+			for _, q := range p {
+				perms = append(perms, float64(q))
+			}
+			slots = append(slots, float64(st.slots[i]))
 		}
-		assertBitEqual(t, "SV", dsW.SV, ds1.SV)
-		assertBitEqual(t, "yn", dsW.yn, ds1.yn)
-		assertBitEqual(t, "nn", dsW.nn, ds1.nn)
+		return [][]float64{st.SV, st.LSV, perms, slots, {float64(len(st.perms))}}
 	}
-	if !st1.EarlyStop {
-		t.Logf("note: bound did not fire within budget (issued %d); worker-independence still verified", st1.Issued)
+	passes := []struct {
+		name string
+		run  func(e *Engine, g game.Game, tau int) [][]float64
+		ref  func(g game.Game, tau int) [][]float64
+	}{
+		{"PreprocessDeletion",
+			func(e *Engine, g game.Game, tau int) [][]float64 {
+				ds := e.PreprocessDeletion(g, tau, rng.New(30))
+				return [][]float64{ds.SV, ds.yn, ds.nn}
+			},
+			func(g game.Game, tau int) [][]float64 {
+				ds := PreprocessDeletion(g, tau, rng.New(30))
+				return [][]float64{ds.SV, ds.yn, ds.nn}
+			}},
+		{"MonteCarlo",
+			func(e *Engine, g game.Game, tau int) [][]float64 {
+				return [][]float64{e.MonteCarlo(g, tau, rng.New(30))}
+			},
+			func(g game.Game, tau int) [][]float64 {
+				return [][]float64{MonteCarlo(g, tau, rng.New(30))}
+			}},
+		{"TruncatedMonteCarlo",
+			func(e *Engine, g game.Game, tau int) [][]float64 {
+				return [][]float64{e.TruncatedMonteCarlo(g, tau, tol, rng.New(30))}
+			},
+			func(g game.Game, tau int) [][]float64 {
+				return [][]float64{TruncatedMonteCarlo(g, tau, tol, rng.New(30))}
+			}},
+		{"Initialize",
+			func(e *Engine, g game.Game, tau int) [][]float64 {
+				res, err := e.Initialize(g, tau, InitOptions{KeepPerms: true}, rng.New(30))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return flatPivot(res.Pivot)
+			},
+			func(g game.Game, tau int) [][]float64 {
+				res, err := Initialize(g, tau, InitOptions{KeepPerms: true}, rng.New(30))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return flatPivot(res.Pivot)
+			}},
+	}
+	engine := func(workers int) *Engine {
+		return NewEngine(WithTargetError(0.05, 0.05), WithWorkers(workers))
+	}
+	for _, ps := range passes {
+		var issued int
+		for workers := 1; workers <= 4; workers++ {
+			e := engine(workers)
+			got := ps.run(e, g, budget)
+			st := e.Stats()
+			if workers == 1 {
+				issued = st.Issued
+				if !st.EarlyStop {
+					t.Logf("note: %s bound did not fire within budget (issued %d); worker-independence still verified", ps.name, issued)
+				}
+			} else if st.Issued != issued {
+				t.Fatalf("%s workers=%d issued %d, workers=1 issued %d", ps.name, workers, st.Issued, issued)
+			}
+			for i, want := range ps.ref(g, issued) {
+				assertBitEqual(t, ps.name+" vs reference at the issued τ", got[i], want)
+			}
+
+			second := ps.run(e, next, 300)
+			f := engine(workers)
+			for i, want := range ps.run(f, next, 300) {
+				assertBitEqual(t, ps.name+" then a second pass", second[i], want)
+			}
+			if e.Stats().Issued != f.Stats().Issued {
+				t.Fatalf("%s workers=%d: second pass issued %d, fresh engine %d", ps.name, workers, e.Stats().Issued, f.Stats().Issued)
+			}
+		}
 	}
 }
 

@@ -71,19 +71,6 @@ func (hf *headFold) foldWalk(perm []int, utilities []float64, uEmpty float64, wa
 	}
 }
 
-// foldPos credits a single walked position's marginal — the per-position
-// form TruncatedMonteCarlo needs (its walk may stop mid-permutation, which
-// credits the tail zero for every head, Shapley included).
-func (hf *headFold) foldPos(pos, player int, m float64) {
-	for h := range hf.ws {
-		v := m
-		if hf.abs[h] && v < 0 {
-			v = -v
-		}
-		hf.sums[h][player] += hf.pos[h][pos] * v
-	}
-}
-
 // finish converts the accumulated sums into per-head averages. The
 // division (rather than a reciprocal multiply) matches the Shapley path's
 // normalisation exactly, keeping the Shapley head bit-identical to the

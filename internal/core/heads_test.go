@@ -469,15 +469,26 @@ func TestMergeSemivalue(t *testing.T) {
 }
 
 // TruncatedMonteCarlo heads: the Shapley head must track the truncated
-// output bit for bit (both see the same zero-credited tails).
+// output bit for bit (both see the same zero-credited tails), and every
+// head must be the same at every worker count.
 func TestTruncatedMonteCarloHeads(t *testing.T) {
 	g := monotoneGame{n: 12, seed: 87}
 	const tau, tol = 300, 0.05
 	ref := NewEngine().TruncatedMonteCarlo(g, tau, tol, rng.New(13))
-	e := NewEngine(WithSemivalues(fourHeads()...))
-	sv := e.TruncatedMonteCarlo(g, tau, tol, rng.New(13))
-	bitEqual(t, "TMC Shapley output with heads", sv, ref)
-	bitEqual(t, "TMC Shapley head", e.HeadValues()[0], ref)
+	var heads1 [][]float64
+	for workers := 1; workers <= 3; workers++ {
+		e := NewEngine(WithSemivalues(fourHeads()...), WithWorkers(workers))
+		sv := e.TruncatedMonteCarlo(g, tau, tol, rng.New(13))
+		bitEqual(t, "TMC Shapley output with heads", sv, ref)
+		bitEqual(t, "TMC Shapley head", e.HeadValues()[0], ref)
+		if workers == 1 {
+			heads1 = e.HeadValues()
+			continue
+		}
+		for h := range heads1 {
+			bitEqual(t, "TMC head vs one worker", e.HeadValues()[h], heads1[h])
+		}
+	}
 }
 
 // Beta(1,1) must price like Shapley through the full sampled pipeline.

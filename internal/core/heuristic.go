@@ -205,13 +205,17 @@ func FitCurves(g game.Game, train *dataset.Dataset, cfg KNNPlusConfig, r *rng.So
 		base = rg
 		players = rg.Keep()
 	}
-	baseSV := MonteCarlo(base, cfg.CurveTau, r)
+	// No stop rule is set, so each pass draws exactly CurveTau
+	// permutations from r, and the draws after it are the same at any
+	// worker count.
+	mc := NewEngine(WithWorkers(1))
+	baseSV := mc.MonteCarlo(base, cfg.CurveTau, r)
 	probes := r.Sample(base.N(), cfg.CurveSamples)
 	xsByLabel := map[int][]float64{}
 	ysByLabel := map[int][]float64{}
 	for _, t := range probes {
 		sub := game.NewRestrict(base, t)
-		subSV := MonteCarlo(sub, cfg.CurveTau, r)
+		subSV := mc.MonteCarlo(sub, cfg.CurveTau, r)
 		probeOrig := players[t]
 		label := train.Points[probeOrig].Y
 		// Map restricted indices back to original players.

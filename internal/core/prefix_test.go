@@ -81,8 +81,8 @@ func TestPrefixBitIdenticalMonteCarlo(t *testing.T) {
 func TestPrefixBitIdenticalMonteCarloParallel(t *testing.T) {
 	u, hidden := knnPair(t, 14)
 	sameSlice(t, "MonteCarloParallel",
-		MonteCarloParallel(u, 24, 3, rng.New(11)),
-		MonteCarloParallel(hidden, 24, 3, rng.New(11)))
+		NewEngine(WithWorkers(3)).MonteCarlo(u, 24, rng.New(11)),
+		NewEngine(WithWorkers(3)).MonteCarlo(hidden, 24, rng.New(11)))
 }
 
 func TestPrefixBitIdenticalPivotFamily(t *testing.T) {

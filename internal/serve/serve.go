@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"dynshap"
+	"dynshap/internal/atomicfile"
 )
 
 // Config configures a Server.
@@ -637,7 +638,7 @@ func (sv *Server) persistMeta(m *managed) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(sv.metaPath(m.name), b, 0o644)
+	return atomicfile.Write(sv.metaPath(m.name), b, 0o644)
 }
 
 // persistSnapshot writes the session's snapshot-v2 document and resets
@@ -768,6 +769,13 @@ func (sv *Server) restore(name string) error {
 // the entire history deterministically with ReplayTo — which re-runs Init
 // and every journaled update, recreating the artifacts bit-identically —
 // and retries the record against the rebuilt session.
+//
+// A crash in the middle of an append leaves a torn final record: a last
+// line with no trailing newline that does not decode. No reply went out
+// for it (handlers reply once logThrough returns), so replay stops at the
+// last complete record and the file is truncated back to it, where the
+// next append continues. A record that fails to decode anywhere else is
+// corruption and fails the restore.
 func replayTail(s *dynshap.Session, path string) (*dynshap.Session, int, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -779,9 +787,17 @@ func replayTail(s *dynshap.Session, path string) (*dynshap.Session, int, error) 
 	dec := json.NewDecoder(bytes.NewReader(b))
 	replayed := 0
 	for dec.More() {
+		start := dec.InputOffset()
 		var rec dynshap.UpdateRecord
 		if err := dec.Decode(&rec); err != nil {
-			return nil, replayed, fmt.Errorf("journal tail: %w", err)
+			rest := bytes.TrimLeft(b[start:], " \t\r\n")
+			if bytes.IndexByte(rest, '\n') >= 0 {
+				return nil, replayed, fmt.Errorf("journal tail: %w", err)
+			}
+			if err := os.Truncate(path, int64(len(b)-len(rest))); err != nil {
+				return nil, replayed, fmt.Errorf("journal tail: dropping a torn record: %w", err)
+			}
+			break
 		}
 		if rec.Version <= s.Version() {
 			continue

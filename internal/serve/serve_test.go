@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -210,6 +211,123 @@ func TestRestartReplaysJournalTail(t *testing.T) {
 	pt := map[string]any{"x": []float64{5.0, 3.1, 1.5, 0.2}, "y": 1}
 	if code, resp := doJSON(t, sv2, "POST", "/v1/sessions/s/add", pt); code != http.StatusOK {
 		t.Fatalf("post-restart add: status %d (%v)", code, resp)
+	}
+}
+
+// crashWithTail creates session "s" on a server in dir, adds the given
+// points, and abandons the server without Close, as a crash would. It
+// returns the session's version and values at the crash and the journal
+// tail's path.
+func crashWithTail(t *testing.T, dir string, adds int) (int, []float64, string) {
+	t.Helper()
+	sv := newTestServer(t, dir)
+	if code, resp := doJSON(t, sv, "POST", "/v1/sessions", createBody("s", nil)); code != http.StatusCreated {
+		t.Fatalf("create: status %d (%v)", code, resp)
+	}
+	for i := 0; i < adds; i++ {
+		pt := map[string]any{"x": []float64{4.9 + float64(i)/10, 3.0, 1.4, 0.2}, "y": i % 3}
+		if code, resp := doJSON(t, sv, "POST", "/v1/sessions/s/add", pt); code != http.StatusOK {
+			t.Fatalf("add %d: status %d (%v)", i, code, resp)
+		}
+	}
+	m, _ := sv.lookup("s")
+	return m.s.Version(), m.s.Values(), sv.tailPath("s")
+}
+
+// appendBytes appends b to the file at path, as a write cut short by a
+// crash would leave it.
+func appendBytes(t *testing.T, path string, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A crash in the middle of an append leaves a torn final record, which
+// was never acknowledged. A restart restores the last complete version
+// with the same values instead of refusing to start.
+func TestRestartDropsTornTailRecord(t *testing.T) {
+	dir := t.TempDir()
+	wantVersion, wantValues, tail := crashWithTail(t, dir, 3)
+	appendBytes(t, tail, []byte(`{"version":5,"op":"add","poi`))
+
+	sv2 := newTestServer(t, dir)
+	defer sv2.Close()
+	m2, ok := sv2.lookup("s")
+	if !ok {
+		t.Fatal("restart: session not restored")
+	}
+	if got := m2.s.Version(); got != wantVersion {
+		t.Fatalf("restart: version %d, want %d", got, wantVersion)
+	}
+	if got := m2.s.Values(); !reflect.DeepEqual(got, wantValues) {
+		t.Fatalf("restart: values diverge from the last complete record\n got %v\nwant %v", got, wantValues)
+	}
+}
+
+// With nothing after the snapshot but a torn record, the restart replays
+// nothing and keeps the tail file; it must cut the torn bytes off, or the
+// next append would land behind them and a second restart would fail.
+func TestRestartAfterOnlyTornRecordKeepsLaterAdds(t *testing.T) {
+	dir := t.TempDir()
+	wantVersion, _, tail := crashWithTail(t, dir, 0)
+	appendBytes(t, tail, []byte(`{"version":2,"op":"add","points":[{"x":[4.9,3`))
+
+	sv2 := newTestServer(t, dir)
+	m2, ok := sv2.lookup("s")
+	if !ok {
+		t.Fatal("restart: session not restored")
+	}
+	if got := m2.s.Version(); got != wantVersion {
+		t.Fatalf("restart: version %d, want %d", got, wantVersion)
+	}
+	pt := map[string]any{"x": []float64{5.0, 3.1, 1.5, 0.2}, "y": 1}
+	if code, resp := doJSON(t, sv2, "POST", "/v1/sessions/s/add", pt); code != http.StatusOK {
+		t.Fatalf("post-restart add: status %d (%v)", code, resp)
+	}
+	wantValues := m2.s.Values()
+	// Crash again: the add lives only in the tail.
+
+	sv3 := newTestServer(t, dir)
+	defer sv3.Close()
+	m3, ok := sv3.lookup("s")
+	if !ok {
+		t.Fatal("second restart: session not restored")
+	}
+	if got := m3.s.Version(); got != wantVersion+1 {
+		t.Fatalf("second restart: version %d, want %d", got, wantVersion+1)
+	}
+	if got := m3.s.Values(); !reflect.DeepEqual(got, wantValues) {
+		t.Fatalf("second restart: values diverge\n got %v\nwant %v", got, wantValues)
+	}
+}
+
+// A record that fails to decode before the last line is corruption, not a
+// torn append: the restore must still fail.
+func TestRestartRejectsCorruptMiddleRecord(t *testing.T) {
+	dir := t.TempDir()
+	_, _, tail := crashWithTail(t, dir, 2)
+	b, err := os.ReadFile(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := bytes.IndexByte(b, '\n')
+	if first < 0 || first == len(b)-1 {
+		t.Fatalf("setup: tail holds %d bytes, want two records", len(b))
+	}
+	corrupt := append([]byte(`{"version":`), b[first:]...)
+	if err := os.WriteFile(tail, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{DataDir: dir}); err == nil {
+		t.Fatal("restart accepted a corrupt record in the middle of the tail")
 	}
 }
 

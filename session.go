@@ -237,11 +237,12 @@ func WithoutCache() Option { return func(c *config) { c.cacheEnabled = false } }
 // effect for non-KNN trainers, which never build a kernel.
 func WithoutDistanceKernel() Option { return func(c *config) { c.noKernel = true } }
 
-// WithWorkers sets the number of accumulator workers the session's
-// permutation engine uses for stripe-parallel YN-NN / YNN-NNN fills
-// (≤0 selects GOMAXPROCS). The same count parallelises the distance
-// kernel's initial fill. Results are bit-identical at every worker
-// count — this is purely a throughput knob.
+// WithWorkers sets how many goroutines the session's permutation engine
+// walks permutations on in every sampled pass, and how many stripe
+// workers its YN-NN / YNN-NNN fills run beside them (≤0 selects
+// GOMAXPROCS). The same count parallelises the distance kernel's initial
+// fill. Results are bit-identical at every worker count — this is purely
+// a throughput knob.
 func WithWorkers(k int) Option { return func(c *config) { c.workers = k } }
 
 // WithTargetError enables adaptive early termination for the sampled
@@ -826,10 +827,12 @@ func (s *Session) addJournaled(points []Point, algo Algorithm, coalesced bool) (
 	case AlgoBase:
 		st.sv = core.BaseAdd(st.sv, len(points))
 		s.applyAppend(st, points)
-	case AlgoPivotSame, AlgoPivotDifferent:
-		err = s.addPivot(st, points, algo, r, &ops)
+	case AlgoPivotSame:
+		err = s.addPivotSame(st, points, 1, r, &ops)
 	case AlgoPivotSameBatch:
-		err = s.addPivotBatch(st, points, r, &ops)
+		err = s.addPivotSame(st, points, len(points), r, &ops)
+	case AlgoPivotDifferent:
+		err = s.addPivotDifferent(st, points, r, &ops)
 	case AlgoDelta:
 		// Sequential re-basing: each point is a one-point batch valued
 		// against a set that already holds its predecessors.
@@ -980,7 +983,9 @@ func (s *Session) captureHeads(st *sessionState) {
 	}
 }
 
-func (s *Session) addPivot(st *sessionState, points []Point, algo Algorithm, r *rng.Source, ops *opMetrics) error {
+// addPivotDifferent runs Pivot-d (Algorithm 4) per point in sequence: fresh
+// permutations of each updated game, LSV inherited from the state.
+func (s *Session) addPivotDifferent(st *sessionState, points []Point, r *rng.Source, ops *opMetrics) error {
 	if st.pivot == nil {
 		return ErrNotInitialized
 	}
@@ -989,16 +994,7 @@ func (s *Session) addPivot(st *sessionState, points []Point, algo Algorithm, r *
 	st.pivot = st.pivot.Clone()
 	for _, p := range points {
 		uPlus := st.util.Append(p)
-		gPlus := s.gameFor(st, uPlus)
-		var (
-			sv  []float64
-			err error
-		)
-		if algo == AlgoPivotSame {
-			sv, err = st.pivot.AddSame(gPlus, r.Split())
-		} else {
-			sv, err = st.pivot.AddDifferent(gPlus, s.cfg.updateTau, r.Split())
-		}
+		sv, err := st.pivot.AddDifferent(s.gameFor(st, uPlus), s.cfg.updateTau, r.Split())
 		if err != nil {
 			return err
 		}
@@ -1021,32 +1017,35 @@ func (s *Session) applyAppendBuilt(st *sessionState, uPlus *utility.ModelUtility
 	s.maintainExactAppend(st, points)
 }
 
-// addPivotBatch walks the retained permutations ONCE for the whole batch:
-// one multi-point utility append (one blocked kernel fill, one test-set
-// clone), one stored-permutation pass with per-point accumulators striped
-// across workers. The per-point RNG sources are split from r in arrival
-// order — exactly the splits sequential addPivot would consume — so the
-// result is bit-identical to k successive AlgoPivotSame calls.
-func (s *Session) addPivotBatch(st *sessionState, points []Point, r *rng.Source, ops *opMetrics) error {
+// addPivotSame runs Pivot-s over the retained permutations in batches of
+// size points: AlgoPivotSame passes size 1 (each point a one-point batch on
+// a set that already holds its predecessors), AlgoPivotSameBatch the whole
+// request. A batch is one multi-point utility append (one blocked kernel
+// fill, one test-set clone) and one stored-permutation pass. The per-point
+// RNG sources are split from r in arrival order whatever the batch size,
+// so a request gives the same values either way.
+func (s *Session) addPivotSame(st *sessionState, points []Point, size int, r *rng.Source, ops *opMetrics) error {
 	if st.pivot == nil {
 		return ErrNotInitialized
 	}
 	// Clone before mutating: the published predecessor shares this pivot,
 	// and a half-applied failure must not corrupt it.
 	st.pivot = st.pivot.Clone()
-	uPlus := st.util.Append(points...)
-	gPlus := s.gameFor(st, uPlus)
-	rs := make([]*rng.Source, len(points))
-	for i := range rs {
-		rs[i] = r.Split()
+	for i := 0; i < len(points); i += size {
+		batch := points[i:min(i+size, len(points))]
+		uPlus := st.util.Append(batch...)
+		rs := make([]*rng.Source, len(batch))
+		for j := range rs {
+			rs[j] = r.Split()
+		}
+		sv, err := s.engine.BatchAddSame(st.pivot, s.gameFor(st, uPlus), len(batch), rs)
+		if err != nil {
+			return err
+		}
+		ops.perms += st.pivot.Tau
+		st.sv = sv
+		s.applyAppendBuilt(st, uPlus, batch...)
 	}
-	sv, err := s.engine.BatchAddSame(st.pivot, gPlus, len(points), rs)
-	if err != nil {
-		return err
-	}
-	ops.perms += st.pivot.Tau
-	st.sv = sv
-	s.applyAppendBuilt(st, uPlus, points...)
 	return nil
 }
 

@@ -3,6 +3,7 @@ package dynshap
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -472,6 +473,38 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	}
 }
 
+// A save that cannot encode its snapshot (JSON has no NaN) must fail
+// without touching the file an earlier save wrote.
+func TestSnapshotFailedSaveKeepsPrevious(t *testing.T) {
+	s := newTestSession(t, 6)
+	if err := s.Init(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "v.snap.json")
+	if err := s.Snapshot().Save(path); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := s.Snapshot()
+	bad.Values[0] = math.NaN()
+	if err := bad.Save(path); err == nil {
+		t.Fatal("saving a NaN value succeeded")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatal("a failed save changed the previous snapshot file")
+	}
+	if _, err := LoadSnapshot(path); err != nil {
+		t.Fatalf("previous snapshot no longer loads: %v", err)
+	}
+}
+
 func TestSnapshotValidation(t *testing.T) {
 	if _, err := ReadSnapshot(bytes.NewBufferString("{")); err == nil {
 		t.Fatal("truncated JSON should fail")
@@ -519,9 +552,15 @@ func TestGameLevelAPI(t *testing.T) {
 	if MSE(mc, exact) > 1e-3 {
 		t.Fatalf("MC MSE = %v", MSE(mc, exact))
 	}
-	par := MonteCarloShapleyParallel(g, 5000, 4, 1)
-	if MSE(par, exact) > 1e-3 {
-		t.Fatalf("parallel MC MSE = %v", MSE(par, exact))
+	// The walkers only price prefixes and one goroutine folds them in
+	// permutation order, so the parallel estimate is the serial one.
+	for w := 1; w <= 4; w++ {
+		par := MonteCarloShapleyParallel(g, 5000, w, 1)
+		for i := range par {
+			if math.Float64bits(par[i]) != math.Float64bits(mc[i]) {
+				t.Fatalf("MonteCarloShapleyParallel at %d workers: player %d = %v, serial %v", w, i, par[i], mc[i])
+			}
+		}
 	}
 	tmc := TruncatedMonteCarloShapley(g, 5000, 1e-12, 1)
 	if MSE(tmc, exact) > 1e-3 {
