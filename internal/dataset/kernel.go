@@ -91,8 +91,9 @@ func (k *DistanceKernel) fill(points []Point, base, workers int) {
 	if workers > n {
 		workers = n
 	}
-	// Below ~32k entries the goroutine startup outweighs the fill itself.
-	if n*k.m < 1<<15 {
+	// Below ~128k flops (entries × (dims+1)) the goroutine startup
+	// outweighs the fill itself.
+	if n*k.m*(len(k.test.Points[0].X)+1) < 1<<17 {
 		workers = 1
 	}
 	if workers == 1 {
