@@ -118,6 +118,54 @@ func TestSessionBatchDeltaPrefixAddAccounting(t *testing.T) {
 	}
 }
 
+// Pivot windows on stored permutations serve one utility per position of
+// every walked chain, whether the utility walks the nested chains of a
+// Pivot-s-batch add in one pass or one at a time: τ·Σ_j (n+j+1) for k
+// points added to n players, τ·(n+1) for one point, and τ·(survivors) for
+// a Pivot-s-batch delete's one walk of each evolved permutation. The
+// counter matches the journal at every worker count.
+func TestSessionPivotPrefixAddAccounting(t *testing.T) {
+	const n, k, tau = 14, 4, 25
+	pts := batchTestPoints(k, 4)
+	indices := []int{3, 11, 0, 7}
+	for _, workers := range []int{1, 2, 3} {
+		s := newTestSession(t, n, WithWorkers(workers), WithKeepPermutations(), WithSamples(tau))
+		if err := s.Init(); err != nil {
+			t.Fatal(err)
+		}
+		nested := 0
+		for j := 0; j < k; j++ {
+			nested += n + j + 1
+		}
+		for _, w := range []struct {
+			op   string
+			run  func() error
+			want int64
+		}{
+			{"batch add", func() error { _, err := s.Add(pts, AlgoPivotSameBatch); return err }, int64(tau * nested)},
+			{"single add", func() error { _, err := s.Add(pts[:1], AlgoPivotSame); return err }, tau * (n + k + 1)},
+			{"batch delete", func() error { _, err := s.Delete(indices, AlgoPivotSameBatch); return err }, int64(tau * (n + k + 1 - len(indices)))},
+		} {
+			before := s.PrefixAdds()
+			if err := w.run(); err != nil {
+				t.Fatal(err)
+			}
+			got := s.PrefixAdds() - before
+			rec, err := s.At(s.Version())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Algo != AlgoPivotSame.String() && rec.Algo != AlgoPivotSameBatch.String() {
+				t.Fatalf("workers=%d %s window ran %s, want a Pivot-s family walk", workers, w.op, rec.Algo)
+			}
+			if got != w.want || rec.PrefixAdds != w.want {
+				t.Fatalf("workers=%d %s window: counted %d prefix adds, journaled %d, want %d",
+					workers, w.op, got, rec.PrefixAdds, w.want)
+			}
+		}
+	}
+}
+
 func TestSessionBatchDeltaWorkerInvariantAndK1(t *testing.T) {
 	const n, k = 14, 4
 	pts := batchTestPoints(k, 4)

@@ -7,6 +7,7 @@ package dynshap_test
 
 import (
 	"io"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -620,24 +621,45 @@ func BenchmarkExactKNNDelete(b *testing.B) {
 	}
 }
 
-// PreprocessDeletion over a kernel-backed KNN utility at n = 300 — the
-// workload `make profile` captures a CPU profile of (see CONTRIBUTING).
+// The engine's deletion fill — the pass sessions run — over a
+// kernel-backed KNN utility at n = 300: the workload `make profile`
+// captures a CPU profile of (see CONTRIBUTING).
 func BenchmarkPreprocessDeletionKNNN300(b *testing.B) {
 	u, _ := kernelWalkPair(300)
+	e := core.NewEngine()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.PreprocessDeletion(u, 100, rng.New(11))
+		e.PreprocessDeletion(u, 100, rng.New(11))
 	}
 }
 
-// TestDistanceKernelSpeedup enforces ISSUE 4's acceptance bound: at
-// n ≈ 200 the kernel-backed preprocessing walk must beat the scratch walk
-// by at least 2×. Both arms share the incremental window and vote
-// maintenance; the kernel arm replaces the per-step Euclidean column with
-// a precomputed read, so the real ratio is far above the bound. Skipped on
-// single-core machines, whose schedulers make wall-clock ratios too noisy
-// to gate on.
+// fastestAlternating times each arm reps times, alternating the arms
+// repetition by repetition, and returns each arm's fastest time in
+// seconds. A slow phase of a shared host then lands on every arm rather
+// than on one, and the fastest repetition is the least disturbed one.
+func fastestAlternating(reps int, arms ...func()) []float64 {
+	best := make([]float64, len(arms))
+	for i := range best {
+		best[i] = math.Inf(1)
+	}
+	for r := 0; r < reps; r++ {
+		for i, arm := range arms {
+			start := time.Now()
+			arm()
+			best[i] = min(best[i], time.Since(start).Seconds())
+		}
+	}
+	return best
+}
+
+// TestDistanceKernelSpeedup enforces the distance kernel's acceptance
+// bound: at n ≈ 200 the kernel-backed preprocessing walk must beat the
+// scratch walk by at least 2×. Both arms share the incremental window and
+// vote maintenance; the kernel arm replaces the per-step Euclidean column
+// with a precomputed read, so the real ratio is far above the bound.
+// Skipped on single-core machines, whose schedulers make wall-clock
+// ratios too noisy to gate on.
 func TestDistanceKernelSpeedup(t *testing.T) {
 	if p := runtime.GOMAXPROCS(0); p < 2 {
 		t.Skipf("need at least 2 CPUs for a stable timing ratio, have %d", p)
@@ -662,20 +684,13 @@ func TestDistanceKernelSpeedup(t *testing.T) {
 			}
 		}
 	}
-	// Warm up once each (window allocation, cache effects), then time.
+	// Warm up once each (window allocation, cache effects), then compare
+	// the arms' fastest of 3 alternating repetitions.
 	walk(evKernel)
 	walk(evScratch)
-	const reps = 3
-	startKernel := time.Now()
-	for i := 0; i < reps; i++ {
-		walk(evKernel)
-	}
-	kernelSecs := time.Since(startKernel).Seconds()
-	startScratch := time.Now()
-	for i := 0; i < reps; i++ {
-		walk(evScratch)
-	}
-	scratchSecs := time.Since(startScratch).Seconds()
+	secs := fastestAlternating(3, func() { walk(evKernel) }, func() { walk(evScratch) })
+	kernelSecs, scratchSecs := secs[0], secs[1]
+	t.Logf("kernel walk %.1f× faster than scratch (kernel %.4fs, scratch %.4fs)", scratchSecs/kernelSecs, kernelSecs, scratchSecs)
 	if kernelSecs*2 > scratchSecs {
 		t.Fatalf("kernel walk only %.2f× faster than scratch (kernel %.4fs, scratch %.4fs), want ≥2×",
 			scratchSecs/kernelSecs, kernelSecs, scratchSecs)
@@ -742,6 +757,29 @@ func benchSessionAddBatch(b *testing.B, algo dynshap.Algorithm) {
 
 func BenchmarkSessionAddBatch16N200(b *testing.B)      { benchSessionAddBatch(b, dynshap.AlgoDeltaBatch) }
 func BenchmarkSessionAddSequential16N200(b *testing.B) { benchSessionAddBatch(b, dynshap.AlgoDelta) }
+
+// A 16-point Pivot-s-batch add on stored permutations: the nested walk
+// over every stored permutation. A 16-index Pivot-s-batch delete of the
+// added points restores n = 200 off the clock and keeps the artifact.
+func BenchmarkSessionAddPivotBatch16N200(b *testing.B) {
+	s := newBatchSession(b, dynshap.WithKeepPermutations())
+	pts := batchBenchPoints(16)
+	added := make([]int, len(pts))
+	for j := range added {
+		added[j] = 200 + j
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Add(pts, dynshap.AlgoPivotSameBatch); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if _, err := s.Delete(added, dynshap.AlgoPivotSameBatch); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
 
 // TestBatchAddSpeedup gates the batched delta addition's win: a batched Add
 // of k = 16 points at n = 200 must finish in under a quarter of the

@@ -415,20 +415,15 @@ func TestExactInitSpeedup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm up once each, then take the best of 3.
+	// Warm up once each, then take each arm's best of 3 alternating
+	// repetitions.
 	runInit(dynshap.SoftKNNClassifier{K: 5})
 	runInit(dynshap.KNNClassifier{K: 5})
-	const reps = 3
-	startExact := time.Now()
-	for i := 0; i < reps; i++ {
-		runInit(dynshap.SoftKNNClassifier{K: 5})
-	}
-	exactSecs := time.Since(startExact).Seconds()
-	startSampled := time.Now()
-	for i := 0; i < reps; i++ {
-		runInit(dynshap.KNNClassifier{K: 5})
-	}
-	sampledSecs := time.Since(startSampled).Seconds()
+	secs := fastestAlternating(3,
+		func() { runInit(dynshap.SoftKNNClassifier{K: 5}) },
+		func() { runInit(dynshap.KNNClassifier{K: 5}) })
+	exactSecs, sampledSecs := secs[0], secs[1]
+	t.Logf("exact init %.1f× faster than the sampled pass (exact %.4fs, sampled %.4fs)", sampledSecs/exactSecs, exactSecs, sampledSecs)
 	if exactSecs*10 > sampledSecs {
 		t.Fatalf("exact init only %.1f× faster than the sampled pass (exact %.4fs, sampled %.4fs), want ≥10×",
 			sampledSecs/exactSecs, exactSecs, sampledSecs)

@@ -142,36 +142,57 @@ func (r *Runner) ablationKNNPlusCurves() (*Table, error) {
 
 // ablationSelection (A4) reproduces the introduction's motivation: rank
 // points by Shapley value vs leave-one-out vs random, keep the top half,
-// retrain, and compare test accuracy.
+// retrain, and compare test accuracy. The SV ranking comes from a sampled
+// MC reference and the random rule from one draw, so one seed decides
+// those rows by its noise: they report the mean, min and max over
+// selectionSeeds seeds, each with its own reference stream and draw. The
+// note counts the seeds whose SV selection beats LOO's.
 func (r *Runner) ablationSelection() (*Table, error) {
+	const selectionSeeds = 5
 	n := r.cfg.N
 	seed := r.cfg.Seed + 44
 	sc := r.irisScenario(n, seed)
 	g := game.NewCached(sc.util)
-	sv := r.mcReference(g, r.cfg.BenchTauFactor*n, seed+1)
 	loo := core.LeaveOneOut(g)
 
 	keep := n / 2
-	accOf := func(scores []float64) float64 {
-		idx := topK(scores, keep)
-		s := bitset.FromIndices(n, idx...)
-		return g.Value(s)
+	accOf := func(idx []int) float64 { return g.Value(bitset.FromIndices(n, idx...)) }
+	looAcc := accOf(topK(loo, keep))
+	svAcc := make([]float64, selectionSeeds)
+	randAcc := make([]float64, selectionSeeds)
+	above := 0
+	for i := range svAcc {
+		off := uint64(2 * i)
+		sv := r.mcReference(g, r.cfg.BenchTauFactor*n, seed+1+off)
+		svAcc[i] = accOf(topK(sv, keep))
+		randAcc[i] = accOf(rng.New(seed+2+off).Sample(n, keep))
+		if svAcc[i] > looAcc {
+			above++
+		}
 	}
-	rnd := rng.New(seed + 2)
-	randomIdx := rnd.Sample(n, keep)
 	full := g.Value(bitset.Full(n))
 
+	spread := func(acc ...float64) []string {
+		lo, hi := acc[0], acc[0]
+		for _, a := range acc {
+			lo, hi = min(lo, a), max(hi, a)
+		}
+		return []string{fmt.Sprintf("%.4f", stat.Mean(acc)), fmt.Sprintf("%.4f", lo), fmt.Sprintf("%.4f", hi)}
+	}
 	t := &Table{
-		Columns: []string{"selection rule", "test accuracy (top 50%)"},
+		Columns: []string{"selection rule", "test accuracy (top 50%), mean", "min", "max"},
 		Rows: [][]string{
-			{"all points", fmt.Sprintf("%.4f", full)},
-			{"Shapley value (top)", fmt.Sprintf("%.4f", accOf(sv))},
-			{"leave-one-out (top)", fmt.Sprintf("%.4f", accOf(loo))},
-			{"random", fmt.Sprintf("%.4f", g.Value(bitset.FromIndices(n, randomIdx...)))},
+			append([]string{"all points"}, spread(full)...),
+			append([]string{"Shapley value (top)"}, spread(svAcc...)...),
+			append([]string{"leave-one-out (top)"}, spread(looAcc)...),
+			append([]string{"random"}, spread(randAcc...)...),
 		},
 	}
 	t.Notes = append(t.Notes,
-		"the introduction's premise (Ghorbani & Zou): SV-ranked selection retains more useful points than LOO")
+		fmt.Sprintf("Shapley and random rows over %d seeds, each with its own MC reference stream (τ = %d) and random draw; all points and leave-one-out are deterministic",
+			selectionSeeds, r.cfg.BenchTauFactor*n),
+		fmt.Sprintf("the introduction's premise (Ghorbani & Zou), SV-ranked selection retains more useful points than LOO: SV above LOO in %d of %d seeds",
+			above, selectionSeeds))
 	return t, nil
 }
 

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
+	"dynshap/internal/bitset"
 	"dynshap/internal/dataset"
 	"dynshap/internal/game"
 	"dynshap/internal/rng"
@@ -105,7 +108,7 @@ func TestBatchDeltaAddK1MatchesDeltaAdd(t *testing.T) {
 
 // pivotFixture builds a keepPerms pivot state over the n-player base and
 // the (n+k)-player updated game, plus k per-point RNG sources.
-func pivotFixture(t *testing.T, n, k int) (*PivotState, game.Game, game.Game) {
+func pivotFixture(t *testing.T, n, k int) (*PivotState, *utility.ModelUtility, game.Game) {
 	t.Helper()
 	u, _ := knnPair(t, n)
 	st := PivotInit(u, 25, true, rng.New(3))
@@ -122,45 +125,73 @@ func splitSources(seed uint64, k int) []*rng.Source {
 	return rs
 }
 
+// prefixOnly hides a utility's pivot-aware evaluator but keeps its
+// incremental one, so the batched walks take chainRows on the incremental
+// path.
+type prefixOnly struct{ u *utility.ModelUtility }
+
+func (p prefixOnly) N() int                       { return p.u.N() }
+func (p prefixOnly) Value(s bitset.Set) float64   { return p.u.Value(s) }
+func (p prefixOnly) Prefix() game.PrefixEvaluator { return p.u.Prefix() }
+
+// samePivotState fails unless two pivot passes returned the same values
+// and left the same LSV, evolved permutations and slots.
+func samePivotState(t *testing.T, name string, got *PivotState, gotSV []float64, want *PivotState, wantSV []float64) {
+	t.Helper()
+	sameSlice(t, name+" SV", gotSV, wantSV)
+	sameSlice(t, name+" LSV", got.LSV, want.LSV)
+	if len(got.perms) != len(want.perms) {
+		t.Fatalf("%s: %d evolved perms, want %d", name, len(got.perms), len(want.perms))
+	}
+	for i := range got.perms {
+		if got.slots[i] != want.slots[i] {
+			t.Fatalf("%s: perm %d slot %d, want %d", name, i, got.slots[i], want.slots[i])
+		}
+		if !slices.Equal(got.perms[i], want.perms[i]) {
+			t.Fatalf("%s: perm %d is %v, want %v", name, i, got.perms[i], want.perms[i])
+		}
+	}
+}
+
+// The sequential reference runs on the incremental and the scratch-Value
+// paths, and the engine on the fused nested walk, the incremental fallback
+// (chainRows over prefix evaluators) and the scratch fallback at every
+// worker count; all must agree bit for bit. The second size nests 16
+// chains in every stored permutation.
 func TestBatchAddSameMatchesSequentialReference(t *testing.T) {
-	const n, k = 14, 5
-	st, uPlus, hidden := pivotFixture(t, n, k)
+	for _, size := range []struct{ n, k int }{{14, 5}, {40, 16}} {
+		n, k := size.n, size.k
+		st, uPlus, hidden := pivotFixture(t, n, k)
+		incremental := prefixOnly{uPlus}
+		pivots := []int{n}
+		if game.PivotPrefixOf(uPlus, pivots) == nil || game.PivotPrefixOf(incremental, pivots) != nil ||
+			game.PrefixEvaluatorOf(incremental) == nil || game.PrefixEvaluatorOf(hidden) != nil {
+			t.Fatal("fixture does not split the fused, incremental and scratch walks")
+		}
 
-	ref := st.Clone()
-	want, err := BatchAddSameSeq(ref, uPlus, k, splitSources(9, k))
-	if err != nil {
-		t.Fatal(err)
-	}
-	refFB := st.Clone()
-	wantFB, err := BatchAddSameSeq(refFB, uPlus, k, splitSources(9, k))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = hidden
-	sameSlice(t, "seq twice", want, wantFB)
+		ref := st.Clone()
+		want, err := BatchAddSameSeq(ref, uPlus, k, splitSources(9, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		refFB := st.Clone()
+		wantFB, err := BatchAddSameSeq(refFB, hidden, k, splitSources(9, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePivotState(t, "seq scratch vs incremental", refFB, wantFB, ref, want)
 
-	for _, workers := range []int{1, 2, 3, 4, 16} {
-		for _, g := range []game.Game{uPlus, hidden} {
-			cl := st.Clone()
-			e := NewEngine(WithWorkers(workers))
-			got, err := e.BatchAddSame(cl, g, k, splitSources(9, k))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameSlice(t, "engine batch SV", got, want)
-			sameSlice(t, "engine batch LSV", cl.LSV, ref.LSV)
-			if len(cl.perms) != len(ref.perms) {
-				t.Fatalf("evolved perm count %d, want %d", len(cl.perms), len(ref.perms))
-			}
-			for i := range cl.perms {
-				if cl.slots[i] != ref.slots[i] {
-					t.Fatalf("perm %d: slot %d, want %d", i, cl.slots[i], ref.slots[i])
+		for _, workers := range []int{1, 2, 3, 4, 16} {
+			for _, arm := range []struct {
+				name string
+				g    game.Game
+			}{{"fused", uPlus}, {"incremental fallback", incremental}, {"scratch fallback", hidden}} {
+				cl := st.Clone()
+				got, err := NewEngine(WithWorkers(workers)).BatchAddSame(cl, arm.g, k, splitSources(9, k))
+				if err != nil {
+					t.Fatal(err)
 				}
-				for j := range cl.perms[i] {
-					if cl.perms[i][j] != ref.perms[i][j] {
-						t.Fatalf("perm %d position %d: %d, want %d", i, j, cl.perms[i][j], ref.perms[i][j])
-					}
-				}
+				samePivotState(t, fmt.Sprintf("n=%d k=%d workers=%d %s", n, k, workers, arm.name), cl, got, ref, want)
 			}
 		}
 	}

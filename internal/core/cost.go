@@ -105,10 +105,12 @@ func BatchDeltaAddCost(n, k, tau int) Cost {
 }
 
 // AddSameBatchCost is the cost of the batched Pivot-s walk over k pending
-// points (BatchAddSame): the j-th point's suffix walk covers half of an
-// (n+j+1)-permutation in expectation, same per-point shape as AddSameCost
-// — the batch form wins on worker parallelism and single-pass utility
-// derivation, not on evaluation count.
+// points (BatchAddSame) as the chained walk pays it: the j-th point's
+// suffix walk covers half of an (n+j+1)-permutation in expectation, same
+// per-point shape as AddSameCost. The k-NN utilities' nested walk prices
+// all k chains from about one base chain per stored permutation, which
+// this does not model; calibrating the planner's costs against measured
+// times is an open ROADMAP item.
 func (st *PivotState) AddSameBatchCost(k int) Cost {
 	n := int64(st.N())
 	var evals int64

@@ -280,7 +280,7 @@ func (e *Engine) effectiveWorkers(n int) int {
 // place from pass to pass and overwritten before they are read.
 type permSlot struct {
 	perm []int     // the drawn permutation; BatchAddSame: its k evolved forms
-	cuts []int     // BatchAddSame: each point's insertion and next-pivot slot
+	cuts []int     // BatchAddSame: the points' insertion slots, then their next-pivot slots
 	row  []float64 // the walked prefix utilities
 	walk int       // positions walked: the walk length, or where TMC cut
 	slot int       // pivot slot: Initialize's draw, BatchDeleteSame's evolved one

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dynshap/internal/bitset"
@@ -28,8 +29,12 @@ import (
 //
 //   - BatchAddSame shares the stored-permutation evolution. The producer
 //     threads each stored permutation through all k pivot insertions (slot
-//     draws in arrival order), and a walker walks the k suffixes — one per
-//     pending point — from the recorded insertion slots into one row.
+//     draws in arrival order). Point j's evolved permutation is the final
+//     one without pivots j+1..k−1, so the k chains are nested, and a
+//     walker walks them into one row from the final permutation and the
+//     recorded insertion slots: the KNN utilities in one walk of the base
+//     chain (game.PivotPrefixEvaluator.WalkNested), any other game one
+//     chain at a time through chainRows.
 //
 // Both run on the engine's permutation pipeline (walkRows, engine.go): the
 // producer draws in RNG order, walkers — the producer among them — walk
@@ -272,30 +277,36 @@ func (e *Engine) walkDeltaRows(g game.Game, players, pivots []int, uPivot []floa
 			}
 		},
 		walker: func() func(*permSlot) {
-			ev := pivotRows(g, pivots, uPivot)
+			ev := pivotRows(g, chainRows{pivots: pivots, uPivot: uPivot})
 			return func(s *permSlot) { ev.Walk(s.perm, s.row) }
 		},
 		fold: func(s *permSlot) { fold(s.perm, s.row) },
 	})
 }
 
-// pivotRows returns one worker's row walker: the game's pivot-aware
-// evaluator when it offers one, otherwise chainRows.
-func pivotRows(g game.Game, pivots []int, uPivot []float64) game.PivotPrefixEvaluator {
-	if ev := game.PivotPrefixOf(g, pivots); ev != nil {
+// pivotRows returns one worker's row walker over fb's pivots: the game's
+// pivot-aware evaluator when it offers one, otherwise fb with its walkers.
+func pivotRows(g game.Game, fb chainRows) game.PivotPrefixEvaluator {
+	if ev := game.PivotPrefixOf(g, fb.pivots); ev != nil {
 		return ev
 	}
-	return &chainRows{base: newPrefixWalker(g), with: newPrefixWalker(g), pivots: pivots, uPivot: uPivot}
+	fb.base, fb.with = newPrefixWalker(g), newPrefixWalker(g)
+	return &fb
 }
 
-// chainRows walks a row as the base chain followed by one with-chain per
-// pivot, through prefixWalker. Each with-chain is seeded with its pivot,
-// whose utility the caller already priced, so the scratch path spends no
-// Value call on it.
+// chainRows is the fallback row walker, one chain at a time through
+// prefixWalker. Walk walks the base chain and then one with-chain per
+// pivot, each seeded with its pivot, whose utility the caller already
+// priced (uPivot), so the scratch path spends no Value call on it.
+// WalkNested walks each nested chain as the per-point Pivot-s step does:
+// advance to the point's slot (uEmpty, the caller's U(∅), serves a slot of
+// 0 on the incremental path), then the suffix.
 type chainRows struct {
 	base, with *prefixWalker
 	pivots     []int
 	uPivot     []float64
+	uEmpty     float64
+	chain      []int
 }
 
 func (c *chainRows) Walk(perm []int, row []float64) {
@@ -313,11 +324,32 @@ func (c *chainRows) Walk(perm []int, row []float64) {
 	}
 }
 
+// WalkNested rebuilds chain 0 by taking pivots k−1..1 out of final, and
+// each next chain by putting its pivot back at its slot.
+func (c *chainRows) WalkNested(final, starts []int, row []float64) {
+	c.chain = append(c.chain[:0], final...)
+	for j := len(starts) - 1; j > 0; j-- {
+		c.chain = slices.Delete(c.chain, starts[j], starts[j]+1)
+	}
+	for j, t := range starts {
+		if j > 0 {
+			c.chain = slices.Insert(c.chain, t, c.pivots[j])
+		}
+		u := row[j*(len(final)+1):]
+		c.base.reset()
+		u[t] = c.base.advance(c.chain, t, c.uEmpty)
+		for pos := t; pos < len(c.chain); pos++ {
+			u[pos+1] = c.base.add(c.chain[pos])
+		}
+	}
+}
+
 // BatchAddSame runs the batched Pivot-s walk (Algorithm 3 generalised to
 // k pending points) on the pipeline. The producer threads every stored
-// permutation through all k pivot insertions; a walker walks the k suffix
-// walks — point j's evolved permutation from the slot j landed in — into
-// one row; the fold adds each suffix's marginals to point j's accumulators
+// permutation through all k pivot insertions; a walker walks the k nested
+// chains — point j's evolved permutation, from the slot j landed in — into
+// one row, in one walk of the base chain when the game offers the nested
+// walk; the fold adds each chain's marginals to point j's accumulators
 // rsv_j and dlsv_j (the latter up to the slot drawn for the next pivot).
 // st is mutated exactly as k successive AddSame calls would mutate it
 // (evolved permutations, final slots, folded SV/LSV); rs supplies one RNG
@@ -352,9 +384,14 @@ func (e *Engine) BatchAddSame(st *PivotState, gPlus game.Game, k int, rs []*rng.
 	if game.PrefixEvaluatorOf(gPlus) != nil {
 		uEmpty = gPlus.Value(bitset.New(m))
 	}
+	pivots := make([]int, k)
+	for j := range pivots {
+		pivots[j] = n + j
+	}
 	// A slot holds point j's evolved permutation (n+j+1 players) at
 	// perm[j·m:] and its suffix utilities at row[j·(m+1):], where u[pos] is
-	// U(perm_j[:pos]) for pos from j's insertion slot to the end.
+	// U(perm_j[:pos]) for pos from j's insertion slot to the end; the last
+	// evolved permutation is the final one.
 	segment := func(s *permSlot, j int) ([]int, []float64) {
 		return s.perm[j*m : j*m+n+j+1], s.row[j*(m+1) : j*(m+1)+n+j+2]
 	}
@@ -364,23 +401,16 @@ func (e *Engine) BatchAddSame(st *PivotState, gPlus game.Game, k int, rs []*rng.
 		tau: tau, workers: workers, plen: k * m, rlen: k * (m + 1),
 		draw: func(s *permSlot, t int) { evolvePivotPerm(st, t, n, k, rs, s) },
 		walker: func() func(*permSlot) {
-			w := newPrefixWalker(gPlus)
+			ev := pivotRows(gPlus, chainRows{pivots: pivots, uEmpty: uEmpty})
 			return func(s *permSlot) {
-				for j := 0; j < k; j++ {
-					pj, u := segment(s, j)
-					tslot := s.cuts[2*j]
-					w.reset()
-					u[tslot] = w.advance(pj, tslot, uEmpty)
-					for pos := tslot; pos < len(pj); pos++ {
-						u[pos+1] = w.add(pj[pos])
-					}
-				}
+				final, _ := segment(s, k-1)
+				ev.WalkNested(final, s.cuts[:k], s.row)
 			}
 		},
 		fold: func(s *permSlot) {
 			for j := 0; j < k; j++ {
 				pj, u := segment(s, j)
-				tslot, next := s.cuts[2*j], s.cuts[2*j+1]
+				tslot, next := s.cuts[j], s.cuts[k+j]
 				e.stats.Updates += foldPivot(pj, u[1:], u[tslot], tslot, len(pj), next, rsv[j], dlsv[j])
 			}
 		},
@@ -410,7 +440,7 @@ func (e *Engine) BatchAddSame(st *PivotState, gPlus game.Game, k int, rs []*rng.
 // insertions into slot s — exactly what k successive AddSame iterations
 // over this permutation do — and installs the final permutation and slot
 // back into the state. Point j's evolved permutation lands at
-// s.perm[j·(n+k):], and s.cuts[2j], s.cuts[2j+1] record the slot it was
+// s.perm[j·(n+k):], and s.cuts[j], s.cuts[k+j] record the slot it was
 // inserted at (where its suffix walk starts) and the slot drawn for the
 // next pivot (its dlsv cutoff). It consumes one Intn draw from each source,
 // in arrival order. The final permutation is COPIED into the state:
@@ -426,7 +456,7 @@ func evolvePivotPerm(st *PivotState, t, n, k int, rs []*rng.Source, s *permSlot)
 		pj[tslot] = n + j
 		copy(pj[tslot+1:], cur[tslot:])
 		next := rs[j].Intn(len(pj) + 1)
-		s.cuts[2*j], s.cuts[2*j+1] = tslot, next
+		s.cuts[j], s.cuts[k+j] = tslot, next
 		cur, tslot = pj, next
 	}
 	st.perms[t] = append(st.perms[t][:0], cur...)

@@ -57,21 +57,37 @@ func PrefixEvaluatorOf(g Game) PrefixEvaluator {
 	return nil
 }
 
-// PivotPrefixEvaluator prices one permutation's prefixes twice over: each
-// prefix S on its own, and S ∪ {v} for every pivot v of a set fixed when
-// the evaluator was built. The delta algorithms difference exactly these
-// pairs along shared permutations, one pivot per pending or departing
-// point, and a game that can derive U(S ∪ {v}) from the state of the chain
-// over S walks one chain instead of one per pivot plus the base. The
-// PrefixEvaluator contract carries over: every value MUST be bit-identical
-// to Value on the same coalition. An evaluator is not safe for concurrent
-// use.
+// PivotPrefixEvaluator prices the prefixes of chains that share one walk
+// of the players outside a pivot set fixed when the evaluator was built.
+// Walk serves the delta algorithms: each prefix S of a permutation on its
+// own and S ∪ {v} for every pivot v, the pairs they difference along
+// shared permutations, one pivot per pending or departing point. WalkNested
+// serves the batched Pivot-s walk: the k nested chains one stored
+// permutation passes through as the pivots arrive. A game that can derive
+// these utilities from the state of the chain over the non-pivot players
+// walks that chain once instead of once per pivot. The PrefixEvaluator
+// contract carries over: every value MUST be bit-identical to Value on the
+// same coalition. An evaluator is not safe for concurrent use.
 type PivotPrefixEvaluator interface {
 	// Walk evaluates perm's prefixes, starting from the empty coalition.
 	// With k pivots, row holds len(perm) strides of k+1 values: at position
 	// pos, row[pos*(k+1)] = U(perm[:pos+1]) and row[pos*(k+1)+1+j] =
 	// U(perm[:pos+1] ∪ {pivots[j]}). perm must not contain a pivot.
 	Walk(perm []int, row []float64)
+	// WalkNested evaluates the prefixes of k = len(starts) nested chains.
+	// final holds every pivot and the other players; chain j is final
+	// without pivots j+1..k−1, and starts[j] is pivot j's position in it.
+	// Chain j's segment is row[j*(len(final)+1):]: for pos from starts[j]
+	// to len(chain j), segment[pos] = U(chain_j[:pos]). Entries before
+	// starts[j] are left as they were.
+	WalkNested(final, starts []int, row []float64)
+}
+
+// NestedPositions returns the positions of k nested chains over a final
+// permutation of l players, Σ_j (l−k+1+j): the prefix adds one WalkNested
+// serves, the same count as walking every chain on its own.
+func NestedPositions(l, k int) int64 {
+	return int64(k*l - k*(k-1)/2)
 }
 
 // PivotPrefixer is implemented by games that can hand out pivot-aware
@@ -92,19 +108,25 @@ func PivotPrefixOf(g Game, pivots []int) PivotPrefixEvaluator {
 	return nil
 }
 
-// countedPivot wraps a pivot-aware evaluator, counting the (k+1) utilities
-// it serves per position into a shared counter once per walk: parallel
-// workers walk whole permutations, and one atomic add per step on a shared
-// counter costs them more than the walk saves.
+// countedPivot wraps a pivot-aware evaluator, counting the utilities it
+// serves into a shared counter once per walk — (k+1) per position of a
+// Walk, one per chain position of a WalkNested: parallel workers walk
+// whole permutations, and one atomic add per step on a shared counter
+// costs them more than the walk saves.
 type countedPivot struct {
-	ev    PivotPrefixEvaluator
-	n     *atomic.Int64
-	width int64
+	ev PivotPrefixEvaluator
+	n  *atomic.Int64
+	k  int
 }
 
 func (c *countedPivot) Walk(perm []int, row []float64) {
 	c.ev.Walk(perm, row)
-	c.n.Add(int64(len(perm)) * c.width)
+	c.n.Add(int64(len(perm)) * int64(c.k+1))
+}
+
+func (c *countedPivot) WalkNested(final, starts []int, row []float64) {
+	c.ev.WalkNested(final, starts, row)
+	c.n.Add(NestedPositions(len(final), c.k))
 }
 
 func countPivots(inner Game, pivots []int, n *atomic.Int64) PivotPrefixEvaluator {
@@ -112,7 +134,7 @@ func countPivots(inner Game, pivots []int, n *atomic.Int64) PivotPrefixEvaluator
 	if ev == nil {
 		return nil
 	}
-	return &countedPivot{ev: ev, n: n, width: int64(len(pivots) + 1)}
+	return &countedPivot{ev: ev, n: n, k: len(pivots)}
 }
 
 // PivotPrefix implements PivotPrefixer by forwarding the inner game's

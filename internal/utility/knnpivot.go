@@ -9,9 +9,10 @@ import (
 )
 
 // knnPivot is the pivot-aware form of knnPrefix (game.PivotPrefixEvaluator):
-// it walks ONE base chain of the KNN utility and prices, at every step, the
-// same prefix with each pivot added — the U(S) / U(S ∪ {v}) pairs the delta
-// algorithms difference — instead of walking one more chain per pivot.
+// it walks ONE base chain of the KNN utility over the players outside the
+// pivot set and prices, from that chain's windows, every chain that adds
+// pivots to it. Walk serves the delta algorithms' U(S) / U(S ∪ {v}) pairs;
+// WalkNested serves the batched Pivot-s walk's nested chains.
 //
 // Why one chain suffices. Under the (distance, index) order the window of
 // S ∪ {v} at test point t is the base window W_t(S) with v appended while
@@ -28,6 +29,18 @@ import (
 // (dropping the pivots it pushed out for good). U(S ∪ {v}) is then
 // (correct + C_v)/m — soft: (softTotal + C_v)/(K·m) — the same integer over
 // the same denominator a separate chain computes, bit for bit.
+//
+// Nested chains. Chain j of WalkNested holds the base players walked so
+// far, S, and the pivots 0..j that have arrived. Its window at t is the
+// first K of W_t(S) merged with those pivots, and only pivots still live
+// at t — sorting before W_t(S)'s K-th entry — can be among them, so the
+// same order/gone lists retire pivots for good. Chain j's score is the
+// base score plus Σ_t T_t(j), where T_t(j) is the merged window's term
+// over the base window's; as j grows T_t moves only at the live arrived
+// pivots, so each test point keeps its few steps (j, change), and diff
+// sums them over t: C_j = Σ_{i≤j} diff[i]. A test point's steps are
+// recomputed only when its base window changed or a pivot arrived, and
+// only while it holds a live arrived pivot or still has steps.
 type knnPivot struct {
 	u       *ModelUtility
 	k       int
@@ -56,9 +69,11 @@ type knnPivot struct {
 	// The pivots. order[t*np:(t+1)*np] lists them for test point t from the
 	// last to sort to the first under (distance, index) — the order in which
 	// they leave window t, with their distances in orderDist — so the pivots
-	// still in window t are order[t*np+gone[t] : (t+1)*np].
+	// still in window t are order[t*np+gone[t] : (t+1)*np]. pDist[j*m+t] is
+	// pivot j's distance to test point t.
 	pivots    []int32
 	pLabels   []int32
+	pDist     []float64
 	order     []int32
 	orderDist []float64
 	gone      []int32
@@ -73,15 +88,39 @@ type knnPivot struct {
 	// values[c] = c/denom for every reachable count c: one table lookup per
 	// served utility in place of a division, with the same bits.
 	values []float64
+
+	// The nested walk's state, allocated by its first WalkNested; nested
+	// routes the base chain's refreshes to it. rank[p] is training point
+	// p's pivot index, −1 for the others. The arrived pivots still live at
+	// test point t are liveJ[t*np:], live[t] of them, in pivot order. Its
+	// steps are stepJ/stepD[t*np:], nstep[t] of them, in pivot order;
+	// diff[j] sums the steps at j over every test point, and corr holds
+	// its prefix sums while dirty is false. cnt[j] counts chain j's
+	// members walked. The rest is one restep's scratch: the new steps
+	// (newJ, newD), the merged window (mDist, mIdx) and its votes (mVotes).
+	nested       bool
+	rank         []int32
+	liveJ        []int32
+	live         []int32
+	stepJ, stepD []int32
+	nstep        []int32
+	diff         []int
+	dirty        bool
+	cnt          []int
+	newJ, newD   []int32
+	mDist        []float64
+	mIdx         []int32
+	mVotes       []int32
 }
 
 // PivotPrefix implements game.PivotPrefixer for the KNN trainers
 // (majority-vote and soft), with kernel or Euclidean distances; other
 // trainers return nil, sending callers to one chain per pivot. pivots are
-// training indices that the walked permutations must not contain. Walks
-// train no model; each counts (len(pivots)+1)·len(perm) prefix adds, added
-// once per walk. PivotPrefix is safe for concurrent calls; each returned
-// evaluator must stay on one goroutine.
+// training indices. Walks train no model; a Walk counts
+// (len(pivots)+1)·len(perm) prefix adds and a WalkNested one per chain
+// position (game.NestedPositions), added once per walk. PivotPrefix is
+// safe for concurrent calls; each returned evaluator must stay on one
+// goroutine.
 func (u *ModelUtility) PivotPrefix(pivots []int) game.PivotPrefixEvaluator {
 	if u.knnK == 0 {
 		return nil
@@ -102,6 +141,7 @@ func (u *ModelUtility) PivotPrefix(pivots []int) game.PivotPrefixEvaluator {
 		worstIdx:   make([]int32, m),
 		pivots:     make([]int32, np),
 		pLabels:    make([]int32, np),
+		pDist:      make([]float64, np*m),
 		order:      make([]int32, m*np),
 		orderDist:  make([]float64, m*np),
 		gone:       make([]int32, m),
@@ -118,11 +158,10 @@ func (u *ModelUtility) PivotPrefix(pivots []int) game.PivotPrefixEvaluator {
 	if e.kernel == nil {
 		e.scratch = make([]float64, m)
 	}
-	pDists := make([][]float64, np) // [pivot][test point]
 	for j, v := range pivots {
 		e.pivots[j] = int32(v)
 		e.pLabels[j] = e.labels[v]
-		pDists[j] = append([]float64(nil), e.column(v)...)
+		copy(e.pDist[j*m:], e.column(v))
 	}
 	for t := 0; t < m; t++ {
 		ord := e.order[t*np : (t+1)*np]
@@ -130,11 +169,11 @@ func (u *ModelUtility) PivotPrefix(pivots []int) game.PivotPrefixEvaluator {
 			ord[j] = int32(j)
 		}
 		sort.Slice(ord, func(a, b int) bool {
-			da, db := pDists[ord[a]][t], pDists[ord[b]][t]
+			da, db := e.pDist[int(ord[a])*m+t], e.pDist[int(ord[b])*m+t]
 			return da > db || (da == db && e.pivots[ord[a]] > e.pivots[ord[b]])
 		})
 		for a, j := range ord {
-			e.orderDist[t*np+a] = pDists[j][t]
+			e.orderDist[t*np+a] = e.pDist[int(j)*m+t]
 		}
 	}
 	denom := m
@@ -170,6 +209,7 @@ func (e *knnPivot) column(p int) []float64 {
 // Walk implements game.PivotPrefixEvaluator.
 func (e *knnPivot) Walk(perm []int, row []float64) {
 	e.reset()
+	e.nested = false
 	stride := len(e.pivots) + 1
 	for pos, p := range perm {
 		e.add(p, pos)
@@ -182,6 +222,49 @@ func (e *knnPivot) Walk(perm []int, row []float64) {
 	e.u.prefixAdds.Add(int64(len(perm) * stride))
 }
 
+// WalkNested implements game.PivotPrefixEvaluator: one walk of final's
+// base players, with each pivot's arrival, prices every chain. Chain j's
+// position count moves with every base player and every arrived pivot up
+// to j; from its start on, each of its positions is read off the base
+// score and C_j. A chain that starts at 0 opens on U(∅), the utility's
+// empty value, as the scratch path does.
+func (e *knnPivot) WalkNested(final, starts []int, row []float64) {
+	e.reset()
+	e.resetNested()
+	stride := len(final) + 1
+	for j, s := range starts {
+		if s == 0 {
+			row[j*stride] = e.u.emptyValue
+		}
+	}
+	size := 0 // base players walked
+	for _, p := range final {
+		from := 0 // the first chain p belongs to
+		if a := int(e.rank[p]); a >= 0 {
+			e.arrive(a, min(size, e.k))
+			from = a
+		} else {
+			e.add(p, size)
+			size++
+		}
+		if e.dirty {
+			c := 0
+			for j, d := range e.diff {
+				c += d
+				e.corr[j] = c
+			}
+			e.dirty = false
+		}
+		for j := from; j < len(starts); j++ {
+			e.cnt[j]++
+			if c := e.cnt[j]; c >= starts[j] {
+				row[j*stride+c] = e.values[e.score+e.corr[j]]
+			}
+		}
+	}
+	e.u.prefixAdds.Add(game.NestedPositions(len(final), len(starts)))
+}
+
 // reset empties the base chain and puts every pivot back in every window,
 // with term 0: C_j = 0 on the empty prefix.
 func (e *knnPivot) reset() {
@@ -191,6 +274,39 @@ func (e *knnPivot) reset() {
 	clear(e.gone)
 	clear(e.termAt)
 	clear(e.corr)
+}
+
+// resetNested switches the evaluator to the nested walk, allocating its
+// state on first use, and restarts it with no pivot arrived.
+func (e *knnPivot) resetNested() {
+	e.nested = true
+	np := len(e.pivots)
+	if e.rank == nil {
+		e.rank = make([]int32, len(e.labels))
+		for i := range e.rank {
+			e.rank[i] = -1
+		}
+		for j, v := range e.pivots {
+			e.rank[v] = int32(j)
+		}
+		e.liveJ = make([]int32, e.m*np)
+		e.live = make([]int32, e.m)
+		e.stepJ = make([]int32, e.m*np)
+		e.stepD = make([]int32, e.m*np)
+		e.nstep = make([]int32, e.m)
+		e.diff = make([]int, np)
+		e.cnt = make([]int, np)
+		e.newJ = make([]int32, 0, np)
+		e.newD = make([]int32, 0, np)
+		e.mDist = make([]float64, 0, e.k)
+		e.mIdx = make([]int32, 0, e.k)
+		e.mVotes = make([]int32, e.classes)
+	}
+	clear(e.live)
+	clear(e.nstep)
+	clear(e.diff)
+	clear(e.cnt)
+	e.dirty = false
 }
 
 // add inserts training point p into the base chain, whose size before the
@@ -241,7 +357,11 @@ func (e *knnPivot) enter(t, p, wlen int, d float64) {
 	}
 	e.score += e.scoreChange(t, e.labels[p], dLabel)
 	if int(e.gone[t]) < len(e.pivots) {
-		e.refresh(t, full)
+		if e.nested {
+			e.refreshNested(t, min(wlen+1, k))
+		} else {
+			e.refresh(t, full)
+		}
 	}
 }
 
@@ -359,6 +479,132 @@ func (e *knnPivot) gains(t int, tailLabel int32) {
 		}
 		e.gain[c] = g - base
 	}
+}
+
+// arrive adds pivot a to the chains a..k−1 while the base windows hold
+// blen members each, and reprices the test points where a is live.
+func (e *knnPivot) arrive(a, blen int) {
+	np := len(e.pivots)
+	d, idx := e.pDist[a*e.m:(a+1)*e.m], e.pivots[a]
+	for t := range e.live {
+		if blen == e.k && (d[t] > e.worst[t] || (d[t] == e.worst[t] && idx > e.worstIdx[t])) {
+			continue
+		}
+		js := e.liveJ[t*np : t*np+int(e.live[t])+1]
+		i := len(js) - 1
+		for ; i > 0 && js[i-1] > int32(a); i-- {
+			js[i] = js[i-1]
+		}
+		js[i] = int32(a)
+		e.live[t]++
+		e.restep(t, blen)
+	}
+}
+
+// refreshNested is refresh for the nested walk: after test point t's base
+// window changed (now blen members), pivots that no longer sort before its
+// K-th entry leave window t for good, and t's steps are recomputed if it
+// holds a live arrived pivot or had steps.
+func (e *knnPivot) refreshNested(t, blen int) {
+	np := len(e.pivots)
+	base := t * np
+	if blen == e.k {
+		gone := int(e.gone[t])
+		tailDist, tailIdx := e.worst[t], e.worstIdx[t]
+		for ; gone < np; gone++ {
+			j := e.order[base+gone]
+			d := e.orderDist[base+gone]
+			if d < tailDist || (d == tailDist && e.pivots[j] < tailIdx) {
+				break
+			}
+			js := e.liveJ[base : base+int(e.live[t])]
+			if i := slices.Index(js, j); i >= 0 {
+				copy(js[i:], js[i+1:])
+				e.live[t]--
+			}
+		}
+		e.gone[t] = int32(gone)
+	}
+	if e.live[t] > 0 || e.nstep[t] > 0 {
+		e.restep(t, blen)
+	}
+}
+
+// restep recomputes test point t's steps from its base window (blen
+// members) and its live arrived pivots, and moves diff by the change.
+// Taking those pivots in index order, it merges each into a copy of the
+// window under (distance, index) — dropping the merged K-th entry, base
+// member or earlier pivot, when the window is full and the pivot sorts
+// before it — and records a step wherever the merged window's term moves.
+func (e *knnPivot) restep(t, blen int) {
+	np, k := len(e.pivots), e.k
+	y := e.testLabels[t]
+	mDist := append(e.mDist[:0], e.dists[t*k:t*k+blen]...)
+	mIdx := append(e.mIdx[:0], e.idxs[t*k:t*k+blen]...)
+	votes, base := e.mVotes, int32(0)
+	if !e.soft {
+		copy(votes, e.votes[t*e.classes:(t+1)*e.classes])
+		if e.ok[t] {
+			base = 1
+		}
+	}
+	newJ, newD := e.newJ[:0], e.newD[:0]
+	term := int32(0) // the merged window's term over the base window's
+	for _, j := range e.liveJ[t*np : t*np+int(e.live[t])] {
+		d, idx := e.pDist[int(j)*e.m+t], e.pivots[j]
+		out := int32(-1) // the dropped entry's label, −1 for none
+		if len(mDist) == k {
+			if d > mDist[k-1] || (d == mDist[k-1] && idx > mIdx[k-1]) {
+				continue
+			}
+			out = e.labels[mIdx[k-1]]
+			mDist, mIdx = mDist[:k-1], mIdx[:k-1]
+		}
+		pos := len(mDist)
+		mDist, mIdx = append(mDist, d), append(mIdx, idx)
+		for pos > 0 && (mDist[pos-1] > d || (mDist[pos-1] == d && mIdx[pos-1] > idx)) {
+			mDist[pos], mIdx[pos] = mDist[pos-1], mIdx[pos-1]
+			pos--
+		}
+		mDist[pos], mIdx[pos] = d, idx
+		c, next := e.pLabels[j], term
+		if e.soft {
+			if c == y {
+				next++
+			}
+			if out == y {
+				next--
+			}
+		} else {
+			votes[c]++
+			if out >= 0 {
+				votes[out]--
+			}
+			next = -base
+			if best, _ := argmax(votes, -1); best == y {
+				next++
+			}
+		}
+		if next != term {
+			newJ, newD = append(newJ, j), append(newD, next-term)
+			term = next
+		}
+	}
+	old := t * np
+	oldJ, oldD := e.stepJ[old:old+int(e.nstep[t])], e.stepD[old:old+int(e.nstep[t])]
+	if slices.Equal(oldJ, newJ) && slices.Equal(oldD, newD) {
+		return
+	}
+	for i, j := range oldJ {
+		e.diff[j] -= int(oldD[i])
+	}
+	for i, j := range newJ {
+		e.diff[j] += int(newD[i])
+	}
+	copy(e.stepJ[old:], newJ)
+	copy(e.stepD[old:], newD)
+	e.nstep[t] = int32(len(newJ))
+	e.dirty = true
 }
 
 // argmax returns the label with the most votes in v, one vote taken from

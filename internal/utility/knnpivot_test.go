@@ -1,8 +1,11 @@
 package utility
 
 import (
+	"math"
+	"slices"
 	"testing"
 
+	"dynshap/internal/bitset"
 	"dynshap/internal/dataset"
 	"dynshap/internal/game"
 	"dynshap/internal/ml"
@@ -21,18 +24,21 @@ func gridData(rnd *rng.Source, count int) *dataset.Dataset {
 	return d
 }
 
-// The pivot-aware walk's contract: at every step of every permutation, the
-// base column equals a scratch evaluation of the prefix and pivot j's column
-// equals a scratch evaluation of the prefix with pivot j added, with ==.
-// Both scoring rules and both distance sources run; K often exceeds the
-// prefix (and sometimes the whole walk), some test sets are empty, and the
-// grid data makes pivots tie with window members whose indices sort both
-// above and below the pivot's — the cases the (distance, index) order
-// decides.
+// The pivot-aware walks' contract, with ==. Walk: at every step of every
+// permutation, the base column equals a scratch evaluation of the prefix
+// and pivot j's column a scratch evaluation of the prefix with pivot j
+// added. WalkNested: every position of every nested chain, from the
+// chain's start on, equals a scratch walk of that chain, and the entries
+// before the start stay untouched. Both scoring rules and both distance
+// sources run; K often exceeds the prefix (and sometimes the whole walk),
+// some test sets are empty, pivots land first, last and next to each
+// other, and the grid data makes pivots tie with window members whose
+// indices sort both above and below the pivot's, and with each other —
+// the cases the (distance, index) order decides.
 func TestPivotPrefixMatchesScratch(t *testing.T) {
 	rnd := rng.New(2024)
-	var tiesBelow, tiesAbove int
-	for trial := 0; trial < 200; trial++ {
+	var tiesBelow, tiesAbove, pivotTies, first, last, adjacent int
+	for trial := 0; trial < 400; trial++ {
 		n := 2 + rnd.Intn(20)
 		m := rnd.Intn(7) // 0: empty test set
 		k := 1 + rnd.Intn(6)
@@ -48,16 +54,24 @@ func TestPivotPrefixMatchesScratch(t *testing.T) {
 		u := NewModelUtility(train, test, tr, opts...)
 
 		order := rnd.PermN(n)
-		np := 1 + rnd.Intn(min(n-1, 5))
+		np := 1 + rnd.Intn(min(n-1, 6))
 		pivots, rest := order[:np], order[np:]
-		for _, v := range pivots {
+		samePlace := func(a, b int) bool {
+			return train.Points[a].X[0] == train.Points[b].X[0] && train.Points[a].X[1] == train.Points[b].X[1]
+		}
+		for a, v := range pivots {
 			for _, q := range rest {
-				if train.Points[v].X[0] == train.Points[q].X[0] && train.Points[v].X[1] == train.Points[q].X[1] {
+				if samePlace(v, q) {
 					if v < q {
 						tiesBelow++
 					} else {
 						tiesAbove++
 					}
+				}
+			}
+			for _, w := range pivots[a+1:] {
+				if samePlace(v, w) {
+					pivotTies++
 				}
 			}
 		}
@@ -90,9 +104,85 @@ func TestPivotPrefixMatchesScratch(t *testing.T) {
 					}
 				}
 			}
+
+			final, starts, chains := nestedChains(rnd, rest, pivots)
+			first += btoi(slices.Contains(pivots, final[0]))
+			last += btoi(slices.Contains(pivots, final[n-1]))
+			for pos := 1; pos < n; pos++ {
+				if slices.Contains(pivots, final[pos-1]) && slices.Contains(pivots, final[pos]) {
+					adjacent++
+					break
+				}
+			}
+			nested := make([]float64, np*(n+1))
+			for i := range nested {
+				nested[i] = math.NaN()
+			}
+			before = u.PrefixAdds()
+			ev.WalkNested(final, starts, nested)
+			if got, want := u.PrefixAdds()-before, game.NestedPositions(n, np); got != want {
+				t.Fatalf("trial %d: nested walk counted %d prefix adds, want %d", trial, got, want)
+			}
+			for j, chain := range chains {
+				seg := nested[j*(n+1) : j*(n+1)+len(chain)+1]
+				ref.Reset()
+				want := u.Value(bitset.New(n))
+				for pos := range seg {
+					if pos > 0 {
+						want = ref.Add(chain[pos-1])
+					}
+					got := seg[pos]
+					if pos < starts[j] {
+						if !math.IsNaN(got) {
+							t.Fatalf("trial %d chain %d: wrote position %d before its start %d", trial, j, pos, starts[j])
+						}
+						continue
+					}
+					if got != want {
+						t.Fatalf("trial %d (%T K=%d n=%d m=%d kernel=%v) rep %d chain %d (start %d) pos %d: nested walk %v, scratch %v",
+							trial, tr, k, n, m, u.kernel != nil, rep, j, starts[j], pos, got, want)
+					}
+				}
+			}
 		}
 	}
-	if tiesBelow == 0 || tiesAbove == 0 {
-		t.Fatalf("fixture produced no pivot ties on one side: %d below, %d above", tiesBelow, tiesAbove)
+	if tiesBelow == 0 || tiesAbove == 0 || pivotTies == 0 {
+		t.Fatalf("fixture produced too few ties: %d below, %d above a pivot, %d between pivots", tiesBelow, tiesAbove, pivotTies)
 	}
+	if first == 0 || last == 0 || adjacent == 0 {
+		t.Fatalf("fixture placed no pivot somewhere: %d first, %d last, %d adjacent", first, last, adjacent)
+	}
+}
+
+// nestedChains evolves a random order of base through the pivots' arrivals
+// as the batched Pivot-s walk does: pivot j goes in at the slot drawn after
+// pivot j−1. Slots favour the ends and the previous pivot's neighbours. It
+// returns the final permutation, each pivot's slot in its own chain, and
+// the chains.
+func nestedChains(rnd *rng.Source, base, pivots []int) (final, starts []int, chains [][]int) {
+	cur := append([]int(nil), base...)
+	rnd.Shuffle(len(cur), func(i, j int) { cur[i], cur[j] = cur[j], cur[i] })
+	slot, prev := rnd.Intn(len(cur)+1), -1
+	for _, v := range pivots {
+		switch c := rnd.Intn(5); {
+		case c == 0:
+			slot = 0
+		case c == 1:
+			slot = len(cur)
+		case c == 2 && prev >= 0:
+			slot = prev + rnd.Intn(2) // just before or just after the last pivot
+		}
+		cur = slices.Insert(slices.Clone(cur), slot, v)
+		starts = append(starts, slot)
+		chains = append(chains, cur)
+		prev, slot = slot, rnd.Intn(len(cur)+1)
+	}
+	return cur, starts, chains
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
