@@ -94,14 +94,16 @@ bench-large:
 bench-mem:
 	$(GO) test -run TestSpillStoreMemorySmoke -count=1 -v ./internal/core/
 
-# Serving smoke for CI (~4s): boot dynshapd on a local port, drive it over
-# HTTP with two short closed-loop loadgen runs — adds-only, then mixed
+# Serving smoke for CI (~6s): boot dynshapd on a local port, drive it over
+# HTTP with three short closed-loop loadgen runs — adds-only, then mixed
 # add/delete churn (-deletes 0.25, exercising the coalescer's delete
-# windows and the del-p50/p99 schema) — then round-trip the combined
-# snapshot through `benchsnap diff` against itself — proving the server
-# binary boots, the HTTP session lifecycle works end to end for both
-# update kinds, and the latency/throughput schema still parses and gates.
-# Blocking, seconds to run.
+# windows and the del-p50/p99 schema), then the same churn on an exact
+# soft k-NN session (-algo exact: multi-point windows through the
+# maintained closed-form estimator) — then round-trip each snapshot
+# through `benchsnap diff` against itself — proving the server binary
+# boots, the HTTP session lifecycle works end to end for both update kinds
+# on the sampled and exact paths, and the latency/throughput schema still
+# parses and gates. Blocking, seconds to run.
 loadgen-smoke:
 	$(GO) build -o /tmp/dynshapd-smoke ./cmd/dynshapd
 	@set -e; \
@@ -118,8 +120,12 @@ loadgen-smoke:
 	$(GO) run ./cmd/loadgen -addr 127.0.0.1:18089 -duration 1s \
 		-n 60 -samples 60 -update-samples 30 -writers 4 -readers 1 \
 		-deletes 0.25 -o /tmp/loadgen-smoke-churn.json; \
+	$(GO) run ./cmd/loadgen -addr 127.0.0.1:18089 -duration 1s \
+		-n 60 -samples 60 -update-samples 30 -writers 4 -readers 1 \
+		-algo exact -deletes 0.25 -o /tmp/loadgen-smoke-exact.json; \
 	$(GO) run ./cmd/benchsnap diff /tmp/loadgen-smoke.json /tmp/loadgen-smoke.json; \
-	$(GO) run ./cmd/benchsnap diff /tmp/loadgen-smoke-churn.json /tmp/loadgen-smoke-churn.json
+	$(GO) run ./cmd/benchsnap diff /tmp/loadgen-smoke-churn.json /tmp/loadgen-smoke-churn.json; \
+	$(GO) run ./cmd/benchsnap diff /tmp/loadgen-smoke-exact.json /tmp/loadgen-smoke-exact.json
 
 # Capture a CPU profile of the n = 300 KNN preprocessing walk
 # (BenchmarkPreprocessDeletionKNNN300) into cpu.out for hot-path analysis.

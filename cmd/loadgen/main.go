@@ -24,6 +24,7 @@
 //	loadgen -compare -min-speedup 2.0    # k=16 window vs coalescing off
 //	loadgen -deletes 0.25 -compare       # mixed churn; delete-window p99 vs barrier-per-delete
 //	loadgen -addr localhost:8089         # drive a running dynshapd
+//	loadgen -algo exact -deletes 0.25    # exact soft k-NN windows, no sampling
 //
 // -compare runs two arms over the same workload — the configured window
 // size, then window 1 (coalescing disabled) — and reports the throughput
@@ -79,7 +80,7 @@ func main() {
 	flag.DurationVar(&cfg.delay, "delay", 2*time.Millisecond, "coalescing window max delay t")
 	flag.IntVar(&cfg.deleteEvery, "delete-every", 0, "each writer submits a delete every N adds (0: adds only)")
 	flag.Float64Var(&cfg.deletes, "deletes", 0, "mixed-churn arm: fraction of write submissions that are deletes (0-1); concurrent deletes coalesce into delete windows, so only add↔delete transitions are barriers")
-	flag.StringVar(&cfg.algo, "algo", "delta", "batch family the planner routes windows to: delta (shared no-pivot chain, best amortisation) or pivot (stored permutations, bit-identical to sequential Pivot-s)")
+	flag.StringVar(&cfg.algo, "algo", "delta", "batch family the planner routes windows to: delta (shared no-pivot chain, best amortisation), pivot (stored permutations, bit-identical to sequential Pivot-s) or exact (soft k-NN closed form, no permutations)")
 	out := flag.String("o", "", "write results as a benchsnap JSON snapshot")
 	compare := flag.Bool("compare", false, "also run with coalescing disabled (window 1) and report the speedup")
 	minSpeedup := flag.Float64("min-speedup", 0, "with -compare: exit non-zero if coalesced/uncoalesced add throughput is below this ratio")
@@ -355,6 +356,7 @@ func newTarget(cfg config) (target, error) {
 		dynshap.WithSeed(cfg.seed),
 		dynshap.WithCoalescing(cfg.batch, cfg.delay),
 	}
+	var trainer dynshap.Trainer = dynshap.KNNClassifier{K: 3}
 	switch cfg.algo {
 	case "delta":
 		// No stored permutations: the planner routes multi-point windows to
@@ -363,10 +365,14 @@ func newTarget(cfg config) (target, error) {
 		// evaluation instead of a whole pass.
 	case "pivot":
 		opts = append(opts, dynshap.WithKeepPermutations())
+	case "exact":
+		// The soft utility has a closed form: the planner routes every
+		// window to the maintained exact estimator.
+		trainer = dynshap.SoftKNNClassifier{K: 3}
 	default:
-		return nil, fmt.Errorf("unknown -algo %q (want delta or pivot)", cfg.algo)
+		return nil, fmt.Errorf("unknown -algo %q (want delta, pivot or exact)", cfg.algo)
 	}
-	s := dynshap.NewSession(train, test, dynshap.KNNClassifier{K: 3}, opts...)
+	s := dynshap.NewSession(train, test, trainer, opts...)
 	if err := s.Init(); err != nil {
 		return nil, err
 	}
@@ -399,6 +405,10 @@ type httpTarget struct {
 }
 
 func newHTTPTarget(cfg config) (target, error) {
+	model := "knn"
+	if cfg.algo == "exact" {
+		model = "softknn"
+	}
 	t := &httpTarget{
 		base:   "http://" + cfg.addr,
 		name:   fmt.Sprintf("loadgen-k%d-%d", cfg.batch, time.Now().UnixNano()),
@@ -407,7 +417,7 @@ func newHTTPTarget(cfg config) (target, error) {
 	body := map[string]any{
 		"name":              t.name,
 		"synthetic":         map[string]any{"kind": "iris", "total": cfg.n + cfg.n/4, "seed": cfg.seed},
-		"model":             "knn",
+		"model":             model,
 		"knn_k":             3,
 		"samples":           cfg.samples,
 		"update_samples":    cfg.updateSamples,

@@ -68,9 +68,10 @@ import (
 // Estimator maintains exact k-NN Shapley values over a distance kernel.
 // It is a cache in the versioned-store sense: every field is reproducible
 // from the kernel and the labels, so snapshots never persist it — Resume
-// and ReplayTo rebuild it deterministically. Not safe for concurrent
-// mutation; the session serialises updates. Clone before mutating a
-// shared instance.
+// and ReplayTo rebuild it deterministically. Not safe for concurrent use:
+// the session hands one instance from state to state under its writer
+// lock, and readers never touch it. Clone before mutating an instance
+// something else still reads.
 type Estimator struct {
 	k       int
 	m       int // test points
@@ -90,6 +91,11 @@ type Estimator struct {
 	orders [][]int32
 	tvals  [][]float64
 	s1     []float64
+
+	// w[i] is 1/k · min(k,i)/i, the factor d_i applies to its label
+	// difference, for every position i < len(w); w[0] is unused. It only
+	// grows, before the column goroutines start, so they read it freely.
+	w []float64
 
 	// sv caches the reduced values by logical index; dirty marks it stale
 	// after maintenance. acc is the reduction's accumulator, indexed by
@@ -124,6 +130,7 @@ func New(kernel *dataset.DistanceKernel, trainLabels, testLabels []int, k, worke
 	for i := 0; i < n; i++ {
 		e.physLab[kernel.Phys(i)] = int32(trainLabels[i])
 	}
+	e.growWeights(n)
 	e.parallel(m, func(lo, hi int) {
 		sc := newSortScratch(n)
 		for j := lo; j < hi; j++ {
@@ -321,19 +328,18 @@ func (e *Estimator) recompute(j, from int) {
 		t[0] = 0
 		from = 1
 	}
-	kf := float64(e.k)
 	// acc carries t[i−1] and mi the match at rank i−1, so each rank's label
 	// is read once; the sum is the recurrence's, term for term.
 	from = min(from, n)
+	w := e.w
 	acc, mi := t[from-1], e.match(ord[from-1], ty)
 	for i := from; i < n; i++ {
-		// d_i for the 1-based position pair (i, i+1): ranks i−1 and i.
+		// d_i for the 1-based position pair (i, i+1): ranks i−1 and i. The
+		// conversion keeps the product a rounded term of its own: Go may
+		// fuse x*y + z into one FMA on some platforms, which would change
+		// the sum's bits.
 		mi1 := e.match(ord[i], ty)
-		minK := kf
-		if fi := float64(i); fi < minK {
-			minK = fi
-		}
-		acc += (mi - mi1) / kf * minK / float64(i)
+		acc += float64((mi - mi1) * w[i])
 		t[i] = acc
 		mi = mi1
 	}
@@ -341,11 +347,24 @@ func (e *Estimator) recompute(j, from int) {
 	// coalition holds fewer than k others, so its value is
 	// 1[match]/k · min(k,n)/n — which is 1[match]/max(n,k) in both regimes
 	// (the familiar 1[match]/n only once n ≥ k).
-	den := float64(n)
-	if kf > den {
-		den = kf
-	}
+	den := max(float64(n), float64(e.k))
 	e.s1[j] = e.match(ord[n-1], ty)/den + t[n-1]
+}
+
+// growWeights extends w to cover every position below n. Each entry is
+// 1/k · min(k,i)/i with the operations in that order, and the label
+// difference it multiplies is always +1, −1 or +0: negation is exact and
+// +0 stays +0, so each product has the bits of the recurrence's term
+// difference/k · min(k,i)/i without its two divisions per rank.
+func (e *Estimator) growWeights(n int) {
+	if len(e.w) == 0 {
+		e.w = append(e.w, 0)
+	}
+	kf := float64(e.k)
+	for i := len(e.w); i < n; i++ {
+		fi := float64(i)
+		e.w = append(e.w, 1/kf*min(kf, fi)/fi)
+	}
 }
 
 // match is 1 when the point at physical column p has label ty, else 0. It
@@ -374,6 +393,7 @@ func (e *Estimator) Add(kernel *dataset.DistanceKernel, first int, labels []int)
 		phys[t] = p
 		e.physLab[p] = int32(y)
 	}
+	e.growWeights(kernel.Cols())
 	e.parallel(e.m, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			e.addColumn(j, phys)
@@ -459,8 +479,9 @@ func (e *Estimator) Values() []float64 {
 // the published values are exactly the from-scratch values. It runs on one
 // goroutine: the column-parallel scatter into an n·m buffer and
 // point-parallel gather it replaced (same order, same bits) measured
-// slower at every size tried, n·m from 1.6·10⁴ to 10⁶ on two cores, since
-// each clone allocated that buffer afresh.
+// slower at every size tried, n·m from 1.6·10⁴ to 10⁶ on two cores, when
+// every session write cloned the estimator and so allocated that buffer
+// afresh.
 func (e *Estimator) reduce() {
 	n := e.kernel.Cols()
 	if cap(e.sv) < n {
@@ -490,11 +511,12 @@ func (e *Estimator) reduce() {
 }
 
 // Clone returns a deep copy sharing only immutable data (the kernel view
-// and test labels), so a session update can mutate the copy while the
-// published predecessor keeps serving the original.
+// and test labels), so the copy can be mutated while something else keeps
+// reading the original.
 func (e *Estimator) Clone() *Estimator {
 	c := *e
 	c.physLab = append([]int32(nil), e.physLab...)
+	c.w = append([]float64(nil), e.w...)
 	c.s1 = append([]float64(nil), e.s1...)
 	c.sv = append([]float64(nil), e.sv...)
 	c.acc = nil
@@ -525,7 +547,8 @@ func (e *Estimator) MemoryBytes() int64 {
 		b += int64(cap(e.orders[j]))*4 + int64(cap(e.tvals[j]))*8
 	}
 	return b + int64(len(e.physLab))*4 + int64(len(e.testLab))*4 +
-		int64(cap(e.s1))*8 + int64(cap(e.sv))*8 + int64(cap(e.acc))*8
+		int64(cap(e.s1))*8 + int64(cap(e.sv))*8 + int64(cap(e.acc))*8 +
+		int64(cap(e.w))*8
 }
 
 // parallel splits [0,n) into contiguous blocks across the estimator's

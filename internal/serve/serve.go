@@ -484,15 +484,18 @@ func (sv *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleValues is a non-blocking read of the latest published estimates.
+// The version and the values come from one View, so a write landing
+// mid-request cannot pair one version's number with the next one's values.
 func (sv *Server) handleValues(w http.ResponseWriter, r *http.Request) {
 	m, ok := sv.lookup(r.PathValue("name"))
 	if !ok {
 		writeErr(w, http.StatusNotFound, errors.New("no such session"))
 		return
 	}
+	view := m.s.View()
 	writeJSONPooled(w, http.StatusOK, map[string]any{
-		"version": m.s.Version(),
-		"values":  m.s.Values(),
+		"version": view.Version(),
+		"values":  view.Values(),
 	})
 }
 
@@ -511,9 +514,10 @@ func (sv *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		}
 		k = v
 	}
+	view := m.s.View()
 	writeJSONPooled(w, http.StatusOK, map[string]any{
-		"version": m.s.Version(),
-		"topk":    m.s.TopK(k),
+		"version": view.Version(),
+		"topk":    view.TopK(k),
 	})
 }
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -447,5 +448,155 @@ func TestPooledReadsSetContentLength(t *testing.T) {
 				t.Fatalf("%s: repeated read diverged (pooled buffer leak?)", path)
 			}
 		}
+	}
+}
+
+// serveJSON serves one request in-process and decodes its JSON body. Unlike
+// doJSON it reports failures as errors, so any goroutine may call it.
+func serveJSON(h http.Handler, method, path string, body any) (map[string]any, error) {
+	var rd *bytes.Reader
+	if body == nil {
+		rd = bytes.NewReader(nil)
+	} else {
+		b, err := json.Marshal(body)
+		if err != nil {
+			return nil, err
+		}
+		rd = bytes.NewReader(b)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, rd))
+	if rec.Code != http.StatusOK && rec.Code != http.StatusCreated {
+		return nil, fmt.Errorf("%s %s: status %d (%s)", method, path, rec.Code, rec.Body.String())
+	}
+	out := map[string]any{}
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		return nil, fmt.Errorf("%s %s: %w", method, path, err)
+	}
+	return out, nil
+}
+
+// TestReadsPairVersionWithItsValues checks that GET /values and GET /topk
+// answer from one published version: while one writer adds and removes
+// points on an exact session, two readers poll both endpoints, and every
+// response's values and top-k must equal what a twin session, driven
+// through the same writes one at a time, published at that response's
+// version.
+func TestReadsPairVersionWithItsValues(t *testing.T) {
+	sv := newTestServer(t, "")
+	defer sv.Close()
+	const topK = 5
+	create := func(name string) {
+		t.Helper()
+		body := createBody(name, map[string]any{"model": "softknn", "keep_permutations": false, "coalesce_batch": 1})
+		if _, err := serveJSON(sv, "POST", "/v1/sessions", body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type write struct {
+		path string
+		body any
+	}
+	// A torn read needs a write to land between two loads nanoseconds
+	// apart, so the writes are many and cheap: adds alternate with removes,
+	// keeping n near its start.
+	var writes []write
+	for i := 0; i < 2000; i++ {
+		if i%2 == 1 {
+			writes = append(writes, write{"remove", map[string]any{"indices": []int{i % 7}}})
+			continue
+		}
+		x := []float64{4.6 + 0.05*float64(i%40), 2.8 + 0.1*float64(i%7), 1.2 + 0.3*float64(i%5), 0.1 + 0.4*float64(i%4)}
+		writes = append(writes, write{"add", map[string]any{"x": x, "y": i % 3}})
+	}
+
+	// The twin takes the writes one at a time; with no concurrent writer,
+	// its session's reads after each write are that version's.
+	type published struct {
+		values []float64
+		topk   []int
+	}
+	want := map[int]published{}
+	create("twin")
+	twin, _ := sv.lookup("twin")
+	record := func() {
+		v := twin.s.View()
+		want[v.Version()] = published{v.Values(), v.TopK(topK)}
+	}
+	record()
+	for _, w := range writes {
+		if _, err := serveJSON(sv, "POST", "/v1/sessions/twin/"+w.path, w.body); err != nil {
+			t.Fatal(err)
+		}
+		record()
+	}
+
+	create("live")
+	var done atomic.Bool
+	var readers sync.WaitGroup
+	responses := make([][]map[string]any, 2)
+	readErrs := make([]error, 2)
+	for r := range responses {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for !done.Load() {
+				for _, path := range []string{"/v1/sessions/live/values", fmt.Sprintf("/v1/sessions/live/topk?k=%d", topK)} {
+					resp, err := serveJSON(sv, "GET", path, nil)
+					if err != nil {
+						readErrs[r] = err
+						return
+					}
+					responses[r] = append(responses[r], resp)
+				}
+			}
+		}(r)
+	}
+	for _, w := range writes {
+		if _, err := serveJSON(sv, "POST", "/v1/sessions/live/"+w.path, w.body); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	done.Store(true)
+	readers.Wait()
+	for _, err := range readErrs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	floats := func(a []any) []float64 {
+		out := make([]float64, len(a))
+		for i, x := range a {
+			out[i] = x.(float64)
+		}
+		return out
+	}
+	checked := 0
+	for r, rs := range responses {
+		for _, resp := range rs {
+			v := int(resp["version"].(float64))
+			pub, ok := want[v]
+			if !ok {
+				t.Fatalf("reader %d: version %d was never published by the twin", r, v)
+			}
+			if vals, ok := resp["values"]; ok && !reflect.DeepEqual(floats(vals.([]any)), pub.values) {
+				t.Fatalf("reader %d: /values at version %d differ from the twin's at that version", r, v)
+			}
+			if top, ok := resp["topk"]; ok {
+				got := make([]int, 0, topK)
+				for _, x := range floats(top.([]any)) {
+					got = append(got, int(x))
+				}
+				if !reflect.DeepEqual(got, pub.topk) {
+					t.Fatalf("reader %d: /topk at version %d is %v, twin published %v", r, v, got, pub.topk)
+				}
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("readers completed no reads")
 	}
 }

@@ -2,6 +2,7 @@ package dynshap
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -255,6 +256,141 @@ func TestSoakChurnPipeline(t *testing.T) {
 			replayed.N(), replayed.Version(), s.N(), s.Version())
 	}
 
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestSoakExactPipeline is the exact path's race/soak gate. Writers mix
+// SubmitAdd and SubmitDelete on a soft k-NN session, so every window runs
+// the closed form on the one estimator each version hands to the next,
+// while readers spin on Values, TopK, History and Snapshot and one replay
+// rebuilds the session mid-traffic. The final values must equal a fresh
+// replay of the journal bit for bit, and the closed form over the final
+// data to 1e-12. Run under -race it also proves that no reader touches the
+// estimator the writer mutates.
+func TestSoakExactPipeline(t *testing.T) {
+	const (
+		n          = 40
+		k          = 3
+		numWriters = 4
+		addsPer    = 20
+		delsPer    = 6
+		numReaders = 2
+	)
+	train, test := fixture(t, n)
+	s := NewSession(train, test, SoftKNNClassifier{K: k}, WithSeed(5),
+		WithCoalescing(4, time.Millisecond))
+	if err := s.Init(); err != nil {
+		t.Fatalf("Init: %v", err)
+	}
+	baseN := s.N()
+
+	var wg sync.WaitGroup
+	var done atomic.Bool
+	errs := make(chan error, numWriters+numReaders+1)
+
+	// halfway closes once writer 0 is half done, or has stopped early; the
+	// replay waits for it.
+	halfway := make(chan struct{})
+	var half sync.Once
+	reachHalfway := func() { half.Do(func() { close(halfway) }) }
+	pts := batchTestPoints(numWriters*addsPer, 4)
+	for w := 0; w < numWriters; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			if w == 0 {
+				defer reachHalfway()
+			}
+			dels := 0
+			for i := 0; i < addsPer; i++ {
+				if w == 0 && i == addsPer/2 {
+					reachHalfway()
+				}
+				if _, err := s.SubmitAdd(pts[w*addsPer+i]).Wait(); err != nil {
+					errs <- fmt.Errorf("writer %d add %d: %w", w, i, err)
+					return
+				}
+				// Indices name submission-time state; concurrent deletes
+				// of index 0 share a window, and the coalescer remaps them.
+				if i%3 == 1 && dels < delsPer {
+					dels++
+					if _, err := s.SubmitDelete([]int{0}).Wait(); err != nil {
+						errs <- fmt.Errorf("writer %d delete: %w", w, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+
+	lo := baseN - numWriters*delsPer
+	hi := baseN + numWriters*addsPer
+	var readerWG sync.WaitGroup
+	for r := 0; r < numReaders; r++ {
+		readerWG.Add(1)
+		go func() {
+			defer readerWG.Done()
+			for !done.Load() {
+				if vals := s.Values(); len(vals) < lo || len(vals) > hi {
+					errs <- fmt.Errorf("reader observed %d values outside [%d, %d]", len(vals), lo, hi)
+					return
+				}
+				_ = s.TopK(3)
+				_ = s.History()
+				if sn := s.Snapshot(); len(sn.Values) != len(sn.Train) {
+					errs <- fmt.Errorf("snapshot holds %d values for %d points", len(sn.Values), len(sn.Train))
+					return
+				}
+			}
+		}()
+	}
+
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-halfway
+		v := s.Version()
+		rs, err := s.ReplayTo(v)
+		if err != nil {
+			errs <- fmt.Errorf("mid-traffic ReplayTo(%d): %w", v, err)
+			return
+		}
+		if got := rs.Version(); got != v {
+			errs <- fmt.Errorf("mid-traffic replay version %d, want %d", got, v)
+		}
+	}()
+
+	wg.Wait()
+	if err := s.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	done.Store(true)
+	readerWG.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	if got := s.N(); got != baseN+numWriters*(addsPer-delsPer) {
+		t.Fatalf("final N = %d, want %d", got, baseN+numWriters*(addsPer-delsPer))
+	}
+	replayed, err := s.ReplayTo(s.Version())
+	if err != nil {
+		t.Fatalf("final ReplayTo: %v", err)
+	}
+	bitEqualF(t, "replayed vs live", replayed.Values(), s.Values())
+	want, err := KNNShapley(s.Data(), test, k)
+	if err != nil {
+		t.Fatalf("KNNShapley: %v", err)
+	}
+	got := s.Values()
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-12 {
+			t.Fatalf("sv[%d] = %v, closed form %v", i, got[i], want[i])
+		}
+	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}

@@ -82,11 +82,14 @@ type sessionState struct {
 	multi *core.MultiDeletionStore
 	// exact is the closed-form k-NN Shapley estimator, maintained through
 	// every update when the utility supports it (SoftKNNClassifier with
-	// the distance kernel). Like the other artifacts it rides the
-	// immutable-state discipline: mutating updates clone it first, so a
-	// failed update discards the mutated clone with the discarded state.
-	// It is a derived cache — never serialised into snapshots; Resume and
-	// ReplayTo rebuild it deterministically from the training set.
+	// the distance kernel, which every derived utility keeps). It is the
+	// one artifact a published state does not own: next() hands the same
+	// instance to the successor, and the update folds its points in at
+	// the commit point, after the last step that can fail, so a failed
+	// update leaves it as the predecessor published it. Only the writer,
+	// under updateMu, touches it; readers read sv. It is a derived cache —
+	// never serialised into snapshots; Resume and ReplayTo rebuild it
+	// deterministically from the training set.
 	exact *exact.Estimator
 
 	initialized bool
@@ -434,18 +437,19 @@ func (s *Session) utilOptions() []utility.Option {
 // deriveRemove replaces the state's utility with its N⁻ view after the
 // training set shrank. The distance kernel survives as a masked view — no
 // distance is recomputed — but the cache must be replaced, because player
-// indices shift and every stored coalition key goes stale.
+// indices shift and every stored coalition key goes stale. It also folds
+// the removal into the handed-over exact estimator, so it runs only at a
+// delete's commit point.
 func (s *Session) deriveRemove(st *sessionState, indices []int) {
 	// Capture the doomed points' physical column ids from the PRE-remove
 	// kernel view — after the removal the logical indices have shifted, but
 	// the physical ids are stable and are what the estimator's orders hold.
 	var removedPhys []int32
 	if st.exact != nil {
-		if kernel, _, ok := st.util.ExactKNNState(); ok {
-			removedPhys = make([]int32, len(indices))
-			for i, idx := range indices {
-				removedPhys[i] = kernel.Phys(idx)
-			}
+		kernel, _, _ := st.util.ExactKNNState()
+		removedPhys = make([]int32, len(indices))
+		for i, idx := range indices {
+			removedPhys[i] = kernel.Phys(idx)
 		}
 	}
 	st.pastFits += st.util.Fits()
@@ -453,12 +457,8 @@ func (s *Session) deriveRemove(st *sessionState, indices []int) {
 	st.util = st.util.Remove(indices...)
 	st.cache = game.NewCached(st.util)
 	if st.exact != nil {
-		kernel, _, ok := st.util.ExactKNNState()
-		if ok && removedPhys != nil {
-			st.exact.Delete(removedPhys, kernel)
-		} else {
-			st.exact = nil
-		}
+		kernel, _, _ := st.util.ExactKNNState()
+		st.exact.Delete(removedPhys, kernel)
 	}
 }
 
@@ -495,9 +495,27 @@ func (s *Session) Data() *Dataset { return s.state.Load().train.Clone() }
 
 // Values returns a copy of the current Shapley estimates, or nil before
 // Init.
-func (s *Session) Values() []float64 {
-	return append([]float64(nil), s.state.Load().sv...)
-}
+func (s *Session) Values() []float64 { return s.View().Values() }
+
+// View is one published version, read whole: its version number, values
+// and top-k all come from the same state, however many updates land while
+// the caller reads them. Separate Session calls may each see a different
+// version.
+type View struct{ st *sessionState }
+
+// View returns the latest published version as one consistent read.
+func (s *Session) View() View { return View{st: s.state.Load()} }
+
+// Version returns the view's state version.
+func (v View) Version() int { return v.st.version }
+
+// Values returns a copy of the view's Shapley estimates, or nil before
+// Init.
+func (v View) Values() []float64 { return append([]float64(nil), v.st.sv...) }
+
+// TopK returns the indices of the view's k most valuable points, read off
+// its cached rank order.
+func (v View) TopK(k int) []int { return topOf(v.st.ranked(0, v.st.sv), k) }
 
 // ModelTrainings returns how many model trainings the session has performed
 // over its lifetime — the dominant cost every dynamic algorithm tries to
@@ -802,12 +820,6 @@ func (s *Session) addJournaled(points []Point, algo Algorithm, coalesced bool) (
 		return append([]float64(nil), cur.sv...), journal.Update{}, nil
 	}
 	st := cur.next()
-	// Clone before any append: the maintenance hooks mutate the estimator,
-	// and the published predecessor must keep serving the original if this
-	// update fails mid-way.
-	if st.exact != nil {
-		st.exact = st.exact.Clone()
-	}
 	r := s.opSource(st.version)
 	startFits, startPrefix := cur.totalFits(), cur.totalPrefixAdds()
 	requested := algo
@@ -847,10 +859,9 @@ func (s *Session) addJournaled(points []Point, algo Algorithm, coalesced bool) (
 		if st.exact == nil {
 			err = ErrExactUnavailable
 		} else {
-			// applyAppend's maintenance hook folds the points into the
-			// estimator; the reduction then reads off the exact values.
+			// The values are read off the estimator after the commit
+			// point below folds the points in.
 			s.applyAppend(st, points)
-			st.sv = st.exact.Values()
 		}
 	case AlgoKNN:
 		st.sv, err = core.KNNAdd(st.sv, st.train, points, s.cfg.knnK)
@@ -867,6 +878,12 @@ func (s *Session) addJournaled(points []Point, algo Algorithm, coalesced bool) (
 	}
 	if err != nil {
 		return nil, journal.Update{}, err
+	}
+	// Commit point: nothing below fails, so the estimator the successor
+	// took over changes only now.
+	s.maintainExactAppend(st, points)
+	if algo == AlgoExactKNN {
+		st.sv = st.exact.Values()
 	}
 	st.storesFresh = false
 	// Batched walks attribute a value to every appended point in one pass;
@@ -938,24 +955,20 @@ func (s *Session) applyAppend(st *sessionState, points []Point) {
 	if s.cfg.cacheEnabled {
 		st.cache = game.NewCachedShared(st.util, st.cache)
 	}
-	s.maintainExactAppend(st, points)
 }
 
-// maintainExactAppend folds freshly appended points into the state's exact
-// estimator (already cloned by the mutating operation): each test column
-// binary-inserts the new points and recomputes only the affected rank
-// suffix, keeping the maintained state bit-identical to a from-scratch
-// rebuild. Called only after the append is certain to commit — error paths
-// discard the whole successor state, estimator clone included.
+// maintainExactAppend folds an update's appended points, the last
+// len(points) of st.train, into the state's exact estimator in one Add:
+// each test column binary-inserts them and recomputes only the affected
+// rank suffix. The maintained state equals a from-scratch build after any
+// sequence of folds, so one fold per update leaves the same orders and t
+// values as one per point. The estimator is the predecessor's, handed
+// over, so this runs only at an update's commit point.
 func (s *Session) maintainExactAppend(st *sessionState, points []Point) {
 	if st.exact == nil {
 		return
 	}
-	kernel, _, ok := st.util.ExactKNNState()
-	if !ok {
-		st.exact = nil
-		return
-	}
+	kernel, _, _ := st.util.ExactKNNState()
 	labels := make([]int, len(points))
 	for i, p := range points {
 		labels[i] = p.Y
@@ -1014,7 +1027,6 @@ func (s *Session) applyAppendBuilt(st *sessionState, uPlus *utility.ModelUtility
 	if s.cfg.cacheEnabled {
 		st.cache = game.NewCachedShared(st.util, st.cache)
 	}
-	s.maintainExactAppend(st, points)
 }
 
 // addPivotSame runs Pivot-s over the retained permutations in batches of
@@ -1146,11 +1158,6 @@ func (s *Session) deleteJournaled(indices []int, algo Algorithm, coalesced bool)
 		seen[p] = true
 	}
 	st := cur.next()
-	// Clone before the removal below mutates the estimator via
-	// deriveRemove's maintenance hook.
-	if st.exact != nil {
-		st.exact = st.exact.Clone()
-	}
 	r := s.opSource(st.version)
 	startFits, startPrefix := cur.totalFits(), cur.totalPrefixAdds()
 	requested := algo
@@ -1174,9 +1181,9 @@ func (s *Session) deleteJournaled(indices []int, algo Algorithm, coalesced bool)
 	switch algo {
 	case AlgoExactKNN:
 		// The estimator produces the survivors' values directly in the
-		// post-delete numbering, after deriveRemove maintains it below —
-		// nothing to expand or compact here; expanded stays nil as the
-		// marker for that path.
+		// post-delete numbering, after deriveRemove folds the removal in
+		// below — nothing to expand or compact here; expanded stays nil as
+		// the marker for that path.
 		if st.exact == nil {
 			err = ErrExactUnavailable
 		}
@@ -1271,15 +1278,13 @@ func (s *Session) deleteJournaled(indices []int, algo Algorithm, coalesced bool)
 			st.heads = heads
 		}
 	}
+	// Commit point: nothing below fails, so the estimator the successor
+	// took over changes only now, in deriveRemove.
 	st.train = st.train.Remove(indices...)
 	s.deriveRemove(st, indices) // indices shifted: the old cache keys are invalid
 	if expanded == nil {
-		// Exact path: deriveRemove just maintained the estimator through
-		// the removal; its reduction IS the survivors' values, already in
-		// the compacted numbering.
-		if st.exact == nil {
-			return nil, journal.Update{}, ErrExactUnavailable
-		}
+		// Exact path: the estimator's reduction IS the survivors' values,
+		// already in the compacted numbering.
 		st.sv = st.exact.Values()
 	}
 	// The batched pivot walk evolved its (cloned) permutations through the

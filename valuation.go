@@ -126,10 +126,7 @@ func (s *Session) Rank() []Ranked {
 
 // TopK returns the indices of the session's k most valuable points under
 // the latest published values, read off the per-version cached rank order.
-func (s *Session) TopK(k int) []int {
-	st := s.state.Load()
-	return topOf(st.ranked(0, st.sv), k)
-}
+func (s *Session) TopK(k int) []int { return s.View().TopK(k) }
 
 // headValues resolves a weighting to its rank-cache head index and the
 // state's value slice for it (SHARED — callers copy before returning).

@@ -508,3 +508,81 @@ func TestParseAlgorithm(t *testing.T) {
 		t.Fatal("unknown name should fail")
 	}
 }
+
+// TestFailedUpdatesLeaveExactSessionUntouched interleaves failing requests
+// with exact adds and deletes. The exact estimator passes from version to
+// version without a copy, so a failure that touched it would show in every
+// later version. After every step the published values must equal, bit for
+// bit, a twin's that never saw the failures, and the estimator's values a
+// from-scratch session's over the same data. The 3-point Delta add
+// appends point by point, while the estimator takes all three in one fold
+// at the commit point.
+func TestFailedUpdatesLeaveExactSessionUntouched(t *testing.T) {
+	train, test := fixture(t, 40)
+	extra := IrisLike(20, 71)
+	extra.Standardize()
+	const k = 3
+	opts := []Option{WithSeed(4), WithUpdateSamples(30)}
+	s := NewSession(train, test, SoftKNNClassifier{K: k}, opts...)
+	twin := NewSession(train, test, SoftKNNClassifier{K: k}, opts...)
+	for _, x := range []*Session{s, twin} {
+		if err := x.Init(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	add := func(cnt int, algo Algorithm) func(*Session) error {
+		pts := extra.Points[next : next+cnt]
+		next += cnt
+		return func(x *Session) error { _, err := x.Add(pts, algo); return err }
+	}
+	del := func(idx []int, algo Algorithm) func(*Session) error {
+		return func(x *Session) error { _, err := x.Delete(idx, algo); return err }
+	}
+	steps := []struct {
+		name  string
+		do    func(*Session) error
+		fails bool
+	}{
+		{"exact add of 2", add(2, AlgoExactKNN), false},
+		{"add with AlgoYNNN", add(1, AlgoYNNN), true},
+		{"exact delete of 2", del([]int{3, 17}, AlgoExactKNN), false},
+		{"Pivot-s add without stored permutations", add(2, AlgoPivotSame), true},
+		{"Delta add of 3", add(3, AlgoDelta), false},
+		{"delete out of range", del([]int{0, 1000}, AlgoExactKNN), true},
+		{"exact add of 1", add(1, AlgoExactKNN), false},
+		{"delete with a duplicate index", del([]int{5, 5}, AlgoExactKNN), true},
+		{"exact delete of 1", del([]int{8}, AlgoExactKNN), false},
+		{"YN-NN delete without WithTrackDeletions", del([]int{2}, AlgoYNNN), true},
+		{"exact add of 3", add(3, AlgoExactKNN), false},
+		{"Pivot-s add without stored permutations, again", add(1, AlgoPivotSame), true},
+		{"exact delete of 3", del([]int{0, 9, 30}, AlgoExactKNN), false},
+	}
+	exactPublished := true // the published values are the estimator's
+	for _, step := range steps {
+		version, records := s.Version(), len(s.History())
+		err := step.do(s)
+		switch {
+		case step.fails && err == nil:
+			t.Fatalf("%s: succeeded, want an error", step.name)
+		case step.fails && (s.Version() != version || len(s.History()) != records):
+			t.Fatalf("%s: failed update moved the session to version %d with %d records", step.name, s.Version(), len(s.History()))
+		case !step.fails && err != nil:
+			t.Fatalf("%s: %v", step.name, err)
+		case !step.fails:
+			if err := step.do(twin); err != nil {
+				t.Fatalf("%s on the twin: %v", step.name, err)
+			}
+			exactPublished = s.History()[len(s.History())-1].Algo == AlgoExactKNN.String()
+		}
+		bitEqualF(t, step.name+": published values vs the twin's", s.Values(), twin.Values())
+		fresh := NewSession(s.Data(), test, SoftKNNClassifier{K: k}, opts...)
+		if err := fresh.Init(); err != nil {
+			t.Fatal(err)
+		}
+		bitEqualF(t, step.name+": estimator vs from scratch", s.state.Load().exact.Values(), fresh.Values())
+		if exactPublished {
+			bitEqualF(t, step.name+": published values vs from scratch", s.Values(), fresh.Values())
+		}
+	}
+}
