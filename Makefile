@@ -58,6 +58,7 @@ vet:
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzReadSnapshot -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzKernelScratchEquality -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz FuzzKNNWalkRoutes -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzExactKNNEquality -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzSemivalueHeadEquality -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzBatchSequentialEquality -fuzztime 10s .

@@ -42,6 +42,23 @@ func FuzzReadSnapshot(f *testing.F) {
 	})
 }
 
+// gridDataset draws count labelled points (3 classes) with coordinates on
+// a coarse grid, so distance ties between points are likely, not just the
+// ones duplicated points make.
+func gridDataset(r *rng.Source, count, dim int) *dataset.Dataset {
+	pts := make([]dataset.Point, count)
+	for i := range pts {
+		x := make([]float64, dim)
+		for j := range x {
+			x[j] = float64(r.Intn(7)) / 2
+		}
+		pts[i] = dataset.Point{X: x, Y: r.Intn(3)}
+	}
+	d := dataset.New(pts)
+	d.Classes = 3
+	return d
+}
+
 // FuzzKernelScratchEquality asserts the distance kernel's bit-identity
 // contract on fuzzer-chosen workloads: a kernel-backed ModelUtility must
 // equal a scratch one with ==, no tolerance, on random datasets and
@@ -62,21 +79,7 @@ func FuzzKernelScratchEquality(f *testing.F) {
 		dup := int(dupRaw) % 6
 
 		r := rng.New(seed)
-		mk := func(count int) *dataset.Dataset {
-			pts := make([]dataset.Point, count)
-			for i := range pts {
-				x := make([]float64, dim)
-				for j := range x {
-					// Coarse grid coordinates make cross-point distance
-					// ties likely, not just the duplicated-point ones.
-					x[j] = float64(r.Intn(7)) / 2
-				}
-				pts[i] = dataset.Point{X: x, Y: r.Intn(3)}
-			}
-			d := dataset.New(pts)
-			d.Classes = 3
-			return d
-		}
+		mk := func(count int) *dataset.Dataset { return gridDataset(r, count, dim) }
 		train, test := mk(n), mk(m)
 		for i := 0; i < dup; i++ {
 			train = train.Append(train.Points[r.Intn(train.Len())])
@@ -121,6 +124,66 @@ func FuzzKernelScratchEquality(f *testing.F) {
 		u3, us3 := u2.Remove(gone...), us2.Remove(gone...)
 		if u3.N() > 0 {
 			compare("remove", u3, us3)
+		}
+	})
+}
+
+// FuzzKNNWalkRoutes asserts that the k-NN utility's three evaluation
+// routes agree bit for bit at every position of a walk: the zero-pivot
+// whole walk the engine's full-walk passes make, the step view's Add and
+// scratch Value calls. The fuzzer picks small hard-vote and soft games, on
+// the kernel or without it (knnMode), with grid coordinates and duplicated
+// points for distance ties, empty test sets and K above n; each walks
+// random permutations of the game and of random Restrict subsets of it.
+// Seeds run as regular tests; use `go test -fuzz FuzzKNNWalkRoutes .` for
+// guided exploration.
+func FuzzKNNWalkRoutes(f *testing.F) {
+	f.Add(uint64(1), uint8(10), uint8(6), uint8(2), uint8(2), uint8(0))
+	f.Add(uint64(7), uint8(23), uint8(11), uint8(7), uint8(5), uint8(1))
+	f.Add(uint64(42), uint8(3), uint8(4), uint8(7), uint8(0), uint8(2))
+	f.Add(uint64(99), uint8(5), uint8(0), uint8(2), uint8(3), uint8(3)) // empty test set
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw, mRaw, kRaw, dupRaw, mode uint8) {
+		n := 1 + int(nRaw)%24
+		m := int(mRaw) % 12
+		k := 1 + int(kRaw)%8
+		r := rng.New(seed)
+		train, test := gridDataset(r, n, 3), gridDataset(r, m, 3)
+		for i := 0; i < int(dupRaw)%6; i++ {
+			train = train.Append(train.Points[r.Intn(train.Len())])
+		}
+		tr, opts := knnMode(mode, k)
+		u := utility.NewModelUtility(train, test, tr, opts...)
+
+		for rep := 0; rep < 4; rep++ {
+			var g game.Game = u
+			if rep > 0 {
+				var removed []int
+				for i := 0; i < u.N(); i++ {
+					if r.Intn(3) == 0 {
+						removed = append(removed, i)
+					}
+				}
+				g = game.NewRestrict(u, removed...)
+			}
+			walk, step := game.PivotPrefixOf(g, nil), game.PrefixEvaluatorOf(g)
+			if walk == nil || step == nil {
+				t.Fatalf("rep %d: %T lost a k-NN evaluator", rep, g)
+			}
+			perm := r.PermN(g.N())
+			row := make([]float64, len(perm))
+			walk.Walk(perm, row)
+			step.Reset()
+			prefix := bitset.New(g.N())
+			for pos, p := range perm {
+				prefix.Add(p)
+				want := g.Value(prefix)
+				if got := step.Add(p); got != want {
+					t.Fatalf("rep %d pos %d (mode %d, K=%d, m=%d): step view %v, scratch %v", rep, pos, mode%4, k, m, got, want)
+				}
+				if got := row[pos]; got != want {
+					t.Fatalf("rep %d pos %d (mode %d, K=%d, m=%d): whole walk %v, scratch %v", rep, pos, mode%4, k, m, got, want)
+				}
+			}
 		}
 	})
 }
@@ -231,19 +294,7 @@ func FuzzSemivalueHeadEquality(f *testing.F) {
 		workers := 1 + int(wRaw)%6
 
 		r := rng.New(seed)
-		mk := func(count int) *dataset.Dataset {
-			pts := make([]dataset.Point, count)
-			for i := range pts {
-				x := make([]float64, 3)
-				for j := range x {
-					x[j] = float64(r.Intn(7)) / 2
-				}
-				pts[i] = dataset.Point{X: x, Y: r.Intn(3)}
-			}
-			d := dataset.New(pts)
-			d.Classes = 3
-			return d
-		}
+		mk := func(count int) *dataset.Dataset { return gridDataset(r, count, 3) }
 		train, test := mk(n), mk(1+r.Intn(8))
 		u := utility.NewModelUtility(train, test, ml.KNN{K: 1 + r.Intn(4)})
 		heads := []dynshap.Semivalue{dynshap.Banzhaf(), dynshap.Beta(4, 1), dynshap.AbsoluteShapley()}
@@ -317,19 +368,7 @@ func FuzzBatchSequentialEquality(f *testing.F) {
 		workers := 1 + int(wRaw)%6
 
 		r := rng.New(seed)
-		mk := func(count int) *dataset.Dataset {
-			pts := make([]dataset.Point, count)
-			for i := range pts {
-				x := make([]float64, 3)
-				for j := range x {
-					x[j] = float64(r.Intn(7)) / 2
-				}
-				pts[i] = dataset.Point{X: x, Y: r.Intn(3)}
-			}
-			d := dataset.New(pts)
-			d.Classes = 3
-			return d
-		}
+		mk := func(count int) *dataset.Dataset { return gridDataset(r, count, 3) }
 		train, test := mk(n), mk(1+r.Intn(8))
 		tr, opts := knnMode(mode, 1+r.Intn(4))
 		u := utility.NewModelUtility(train, test, tr, opts...)
@@ -417,19 +456,7 @@ func FuzzBatchDeleteSequentialEquality(f *testing.F) {
 		workers := 1 + int(wRaw)%6
 
 		r := rng.New(seed)
-		mk := func(count int) *dataset.Dataset {
-			pts := make([]dataset.Point, count)
-			for i := range pts {
-				x := make([]float64, 3)
-				for j := range x {
-					x[j] = float64(r.Intn(7)) / 2
-				}
-				pts[i] = dataset.Point{X: x, Y: r.Intn(3)}
-			}
-			d := dataset.New(pts)
-			d.Classes = 3
-			return d
-		}
+		mk := func(count int) *dataset.Dataset { return gridDataset(r, count, 3) }
 		train, test := mk(n), mk(1+r.Intn(8))
 		tr, opts := knnMode(mode, 1+r.Intn(4))
 		u := utility.NewModelUtility(train, test, tr, opts...)

@@ -417,9 +417,15 @@ func (e *Engine) permSlots(count, plen, rlen int) []*permSlot {
 }
 
 // prefixRows is the full walks' walker: it fills s.row[pos] with
-// U(s.perm[:pos+1]) for the first s.walk positions.
+// U(s.perm[:pos+1]) for the first s.walk positions — in one call of the
+// game's zero-pivot whole-walk evaluator when it offers one, step by step
+// through prefixWalker otherwise. Both give the same bits and the same
+// prefix-add count; the whole walk pays its counters once per permutation.
 func prefixRows(g game.Game) func() func(*permSlot) {
 	return func() func(*permSlot) {
+		if ev := game.PivotPrefixOf(g, nil); ev != nil {
+			return func(s *permSlot) { ev.Walk(s.perm[:s.walk], s.row[:s.walk]) }
+		}
 		w := newPrefixWalker(g)
 		return func(s *permSlot) {
 			w.reset()

@@ -181,7 +181,11 @@ func (e *Engine) BatchDeltaAdd(gPlus game.Game, oldSV []float64, k, tau int, r *
 	start := time.Now()
 	stride := k + 1
 	// Each point's fold is the single-point walk's inner loop, with both
-	// chains' utilities read from the walked row.
+	// chains' utilities read from the walked row. A zero difference — most
+	// of them under k-NN utilities — is skipped with its division: dj
+	// starts at +0, a sum that starts at +0 is never −0, and adding ±0
+	// leaves such a sum as it was, so the skip keeps every bit of
+	// BatchDeltaAddSeq's unconditional fold (NaN still folds).
 	issued := e.walkDeltaRows(gPlus, players, pivots, uPivot, tau, workers, trk, r, func(perm []int, row []float64) {
 		for j := 0; j < k; j++ {
 			var hs *addHeadSums
@@ -197,8 +201,9 @@ func (e *Engine) BatchDeltaAdd(gPlus game.Game, oldSV []float64, k, tau int, r *
 			}
 			for pos, p := range perm {
 				curNo, curWith := row[pos*stride], row[pos*stride+1+j]
-				dmc := (curWith - curNo) - (prevWith - prevNo)
-				dj[p] += dmc * float64(pos+1) / float64(n+1)
+				if dmc := (curWith - curNo) - (prevWith - prevNo); dmc != 0 {
+					dj[p] += dmc * float64(pos+1) / float64(n+1)
+				}
 				dd := curWith - curNo
 				newSV[j] += dd
 				if hs != nil {

@@ -109,14 +109,16 @@ func (e *Engine) BatchDeltaDelete(g game.Game, oldSV []float64, points []int, ta
 	// Each point's fold is the single-point walk's inner loop over the
 	// survivor game, with both chains' utilities read from the walked row;
 	// denominator c+1 = n−k+1 is the survivor-game stratification weight.
+	// Zero differences skip their update, bit for bit, as in BatchDeltaAdd.
 	issued := e.walkDeltaRows(g, survivors, points, uP, tau, workers, trk, r, func(perm []int, row []float64) {
 		for j := 0; j < k; j++ {
 			dj := dsv[j]
 			prevNo, prevWith := uEmpty, uP[j]
 			for pos, q := range perm {
 				curNo, curWith := row[pos*stride], row[pos*stride+1+j]
-				dmc := (curWith - curNo) - (prevWith - prevNo)
-				dj[q] -= dmc * float64(pos+1) / float64(c+1)
+				if dmc := (curWith - curNo) - (prevWith - prevNo); dmc != 0 {
+					dj[q] -= dmc * float64(pos+1) / float64(c+1)
+				}
 				prevNo, prevWith = curNo, curWith
 			}
 		}

@@ -14,10 +14,11 @@ import (
 //
 // Storage is train-point-major: the distances from training point i to all
 // m test points occupy one contiguous m-float block. That orientation
-// serves both hot paths at once — knnPrefix.Add walks a fixed training
-// point across every test point (a unit-stride read of one block), and
-// appending a training point writes exactly one new block, O(m), without
-// touching existing columns. A cols indirection maps logical training
+// serves both hot paths at once — the k-NN utility's window kernel
+// (knnPivot.add, behind every prefix walk) takes a fixed training point
+// across every test point (a unit-stride read of one block), and appending
+// a training point writes exactly one new block, O(m), without touching
+// existing columns. A cols indirection maps logical training
 // indices to physical blocks so Remove is pure masking: drop entries from
 // cols, never move a float.
 //

@@ -65,9 +65,12 @@ func PrefixEvaluatorOf(g Game) PrefixEvaluator {
 // serves the batched Pivot-s walk: the k nested chains one stored
 // permutation passes through as the pivots arrive. A game that can derive
 // these utilities from the state of the chain over the non-pivot players
-// walks that chain once instead of once per pivot. The PrefixEvaluator
-// contract carries over: every value MUST be bit-identical to Value on the
-// same coalition. An evaluator is not safe for concurrent use.
+// walks that chain once instead of once per pivot. With no pivots, Walk is
+// the plain prefix walk: the engine's full walks price a whole permutation
+// in one call of it where a PrefixEvaluator would take one call per step.
+// The PrefixEvaluator contract carries over: every value MUST be
+// bit-identical to Value on the same coalition. An evaluator is not safe
+// for concurrent use.
 type PivotPrefixEvaluator interface {
 	// Walk evaluates perm's prefixes, starting from the empty coalition.
 	// With k pivots, row holds len(perm) strides of k+1 values: at position
@@ -214,6 +217,44 @@ func (r *Restrict) Prefix() PrefixEvaluator {
 		return nil
 	}
 	return &restrictPrefix{ev: ev, keep: r.keep}
+}
+
+// restrictPivot translates each walked permutation into the original
+// numbering, in a buffer it owns, before delegating.
+type restrictPivot struct {
+	ev   PivotPrefixEvaluator
+	keep []int
+	buf  []int
+}
+
+func (r *restrictPivot) translate(perm []int) []int {
+	r.buf = r.buf[:0]
+	for _, p := range perm {
+		r.buf = append(r.buf, r.keep[p])
+	}
+	return r.buf
+}
+
+func (r *restrictPivot) Walk(perm []int, row []float64) { r.ev.Walk(r.translate(perm), row) }
+
+func (r *restrictPivot) WalkNested(final, starts []int, row []float64) {
+	r.ev.WalkNested(r.translate(final), starts, row)
+}
+
+// PivotPrefix implements PivotPrefixer the way Prefix does: the chains of
+// the restricted game are chains of the original game over the translated
+// indices, so the inner evaluator, built over the translated pivots,
+// serves them directly.
+func (r *Restrict) PivotPrefix(pivots []int) PivotPrefixEvaluator {
+	orig := make([]int, len(pivots))
+	for j, v := range pivots {
+		orig[j] = r.keep[v]
+	}
+	ev := PivotPrefixOf(r.inner, orig)
+	if ev == nil {
+		return nil
+	}
+	return &restrictPivot{ev: ev, keep: r.keep, buf: make([]int, 0, len(r.keep))}
 }
 
 // --- Closed-form games -----------------------------------------------------

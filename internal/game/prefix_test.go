@@ -2,6 +2,7 @@ package game
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -123,6 +124,120 @@ func TestRestrictForwardsPrefixWithTranslation(t *testing.T) {
 		t.Fatal("Restrict did not forward the capability")
 	}
 	walkBoth(t, r, ev, []int{2, 0, 1})
+}
+
+// scratchPivotGame offers the pivot-aware capability by scratch Value
+// calls on its inner game, so what a wrapper forwards can be checked
+// against Value alone.
+type scratchPivotGame struct{ Game }
+
+func (g scratchPivotGame) PivotPrefix(pivots []int) PivotPrefixEvaluator {
+	return &scratchPivot{g: g.Game, pivots: pivots}
+}
+
+type scratchPivot struct {
+	g      Game
+	pivots []int
+}
+
+func (e *scratchPivot) Walk(perm []int, row []float64) {
+	stride := len(e.pivots) + 1
+	s := bitset.New(e.g.N())
+	for pos, p := range perm {
+		s.Add(p)
+		row[pos*stride] = e.g.Value(s)
+		for j, v := range e.pivots {
+			with := s.Clone()
+			with.Add(v)
+			row[pos*stride+1+j] = e.g.Value(with)
+		}
+	}
+}
+
+func (e *scratchPivot) WalkNested(final, starts []int, row []float64) {
+	for j, start := range starts {
+		seg := row[j*(len(final)+1):]
+		s := bitset.New(e.g.N())
+		if start == 0 {
+			seg[0] = e.g.Value(s)
+		}
+		pos := 0
+		for _, p := range final {
+			if k := slices.Index(e.pivots, p); k > j {
+				continue // pivot k arrives after chain j
+			}
+			s.Add(p)
+			if pos++; pos >= start {
+				seg[pos] = e.g.Value(s)
+			}
+		}
+	}
+}
+
+// Walk and WalkNested through a Restrict price the restricted coalitions,
+// pivots included, as Restrict.Value does, and the counting wrappers under
+// it count every utility served. Powers-of-two weights give every
+// coalition its own value, so a player translated wrongly shows.
+func TestRestrictForwardsPivotPrefixWithTranslation(t *testing.T) {
+	inner := scratchPivotGame{Additive{Weights: []float64{1, 2, 4, 8, 16, 32, 64}}}
+	if PivotPrefixOf(NewRestrict(inner.Game, 1), nil) != nil {
+		t.Fatal("Restrict invented a capability its inner game lacks")
+	}
+	counting, cached := NewCounting(inner), NewCached(inner)
+	for name, c := range map[string]interface {
+		Game
+		PrefixAdds() int64
+	}{"counting": counting, "cached": cached} {
+		r := NewRestrict(c, 1, 4) // keep 0, 2, 3, 5, 6
+		pivots := []int{3, 0}     // originals 5 and 0
+		ev := PivotPrefixOf(r, pivots)
+		if ev == nil {
+			t.Fatalf("%s: Restrict did not forward the capability", name)
+		}
+		perm := []int{2, 4, 1}
+		stride := len(pivots) + 1
+		row := make([]float64, len(perm)*stride)
+		ev.Walk(perm, row)
+		for pos := range perm {
+			for col := 0; col < stride; col++ {
+				s := bitset.FromIndices(r.N(), perm[:pos+1]...)
+				if col > 0 {
+					s.Add(pivots[col-1])
+				}
+				if got, want := row[pos*stride+col], r.Value(s); got != want {
+					t.Fatalf("%s: Walk pos %d column %d = %v, Value = %v", name, pos, col, got, want)
+				}
+			}
+		}
+		if got, want := c.PrefixAdds(), int64(len(perm)*stride); got != want {
+			t.Fatalf("%s: Walk counted %d prefix adds, want %d", name, got, want)
+		}
+
+		// Chain 0 is final without pivot 1; pivot j sits at starts[j] in
+		// chain j.
+		final := []int{2, 3, 4, 0, 1}
+		starts := []int{1, 3}
+		nested := make([]float64, len(starts)*(len(final)+1))
+		for i := range nested {
+			nested[i] = -1
+		}
+		ev.WalkNested(final, starts, nested)
+		for j, chain := range [][]int{{2, 3, 4, 1}, final} {
+			seg := nested[j*(len(final)+1):]
+			for pos := 0; pos <= len(chain); pos++ {
+				want := -1.0 // untouched before the chain's start
+				if pos >= starts[j] {
+					want = r.Value(bitset.FromIndices(r.N(), chain[:pos]...))
+				}
+				if seg[pos] != want {
+					t.Fatalf("%s: WalkNested chain %d pos %d = %v, want %v", name, j, pos, seg[pos], want)
+				}
+			}
+		}
+		if got, want := c.PrefixAdds(), int64(len(perm)*stride)+NestedPositions(len(final), len(starts)); got != want {
+			t.Fatalf("%s: walks counted %d prefix adds, want %d", name, got, want)
+		}
+	}
 }
 
 // The sharded cache must behave exactly like the old single-map cache.

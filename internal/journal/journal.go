@@ -18,6 +18,7 @@ package journal
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"dynshap/internal/dataset"
@@ -207,15 +208,12 @@ func (j *Journal) At(version int) (Update, bool) {
 func (j *Journal) Through(version int) []Update {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	base := j.baseVersionLocked()
-	k := version - base
-	if k < 0 {
-		k = 0
-	}
-	if k > len(j.entries) {
-		k = len(j.entries)
-	}
-	return cloneEntries(j.entries[:k])
+	return cloneEntries(j.throughLocked(version))
+}
+
+func (j *Journal) throughLocked(version int) []Update {
+	k := version - j.baseVersionLocked()
+	return j.entries[:max(0, min(k, len(j.entries)))]
 }
 
 // Base returns copies of the base points, their class count, and the
@@ -227,14 +225,19 @@ func (j *Journal) Base() ([]dataset.Point, int, []float64) {
 }
 
 // State returns a deep copy of the journal for serialisation.
-func (j *Journal) State() State {
+func (j *Journal) State() State { return j.StateThrough(math.MaxInt) }
+
+// StateThrough is State holding only the updates with Version ≤ version:
+// the journal as it stood when that version was published, however many
+// updates have been appended since.
+func (j *Journal) StateThrough(version int) State {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return State{
 		Base:       clonePoints(j.base),
 		Classes:    j.classes,
 		BaseValues: append([]float64(nil), j.baseValues...),
-		Entries:    cloneEntries(j.entries),
+		Entries:    cloneEntries(j.throughLocked(version)),
 	}
 }
 

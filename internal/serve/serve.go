@@ -645,9 +645,12 @@ func (sv *Server) persistMeta(m *managed) error {
 	return atomicfile.Write(sv.metaPath(m.name), b, 0o644)
 }
 
-// persistSnapshot writes the session's snapshot-v2 document and resets
-// the journal tail: every record at or below the snapshot version is now
-// embedded in the snapshot.
+// persistSnapshot writes the session's snapshot-v2 document and rewrites
+// the journal tail to the records past it. Writers may run while the
+// snapshot is taken, so records in (snapshot version, lastLogged] can be
+// logged — and acknowledged — already: the new tail keeps them. It
+// replaces the old tail in one rename, so a crash at any point leaves
+// every acknowledged record in the snapshot or the tail on disk.
 func (sv *Server) persistSnapshot(m *managed) error {
 	if sv.cfg.DataDir == "" {
 		return nil
@@ -658,18 +661,38 @@ func (sv *Server) persistSnapshot(m *managed) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.tail != nil {
-		if err := m.tail.Truncate(0); err != nil {
+	m.buf.Reset()
+	for v := sn.Version + 1; v <= m.lastLogged; v++ {
+		if err := m.encode(v); err != nil {
 			return err
 		}
-		if _, err := m.tail.Seek(0, 0); err != nil {
+	}
+	if m.tail != nil {
+		// The next append reopens the replaced file.
+		err := m.tail.Close()
+		m.tail = nil
+		if err != nil {
+			return err
+		}
+	}
+	if m.buf.Len() > 0 {
+		if err := atomicfile.Write(sv.tailPath(m.name), m.buf.Bytes(), 0o644); err != nil {
 			return err
 		}
 	} else if err := os.Remove(sv.tailPath(m.name)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	m.lastLogged = sn.Version
+	m.lastLogged = max(m.lastLogged, sn.Version)
 	return nil
+}
+
+// encode appends journal record v to m.buf as one JSON line.
+func (m *managed) encode(v int) error {
+	rec, err := m.s.At(v)
+	if err != nil {
+		return fmt.Errorf("journal tail: %w", err)
+	}
+	return m.enc.Encode(rec)
 }
 
 // logThrough appends every journal record in (lastLogged, version] to the
@@ -693,12 +716,8 @@ func (sv *Server) logThrough(m *managed, version int) error {
 		m.tail = f
 	}
 	for v := m.lastLogged + 1; v <= version; v++ {
-		rec, err := m.s.At(v)
-		if err != nil {
-			return fmt.Errorf("journal tail: %w", err)
-		}
 		m.buf.Reset()
-		if err := m.enc.Encode(rec); err != nil {
+		if err := m.encode(v); err != nil {
 			return err
 		}
 		if _, err := m.tail.Write(m.buf.Bytes()); err != nil {

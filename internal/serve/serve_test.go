@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -212,6 +213,69 @@ func TestRestartReplaysJournalTail(t *testing.T) {
 	pt := map[string]any{"x": []float64{5.0, 3.1, 1.5, 0.2}, "y": 1}
 	if code, resp := doJSON(t, sv2, "POST", "/v1/sessions/s/add", pt); code != http.StatusOK {
 		t.Fatalf("post-restart add: status %d (%v)", code, resp)
+	}
+}
+
+// TestSnapshotDuringWritesKeepsAcknowledgedWrites posts /snapshot while a
+// writer adds and removes points, and after each round restarts on the
+// same directory without Close, as a crash would. Every acknowledged write
+// must come back: the restored session stands at the last acknowledged
+// version, with the values the crashed server published there.
+func TestSnapshotDuringWritesKeepsAcknowledgedWrites(t *testing.T) {
+	dir := t.TempDir()
+	sv := newTestServer(t, dir)
+	body := createBody("s", map[string]any{"model": "softknn", "keep_permutations": false, "coalesce_batch": 1})
+	if _, err := serveJSON(sv, "POST", "/v1/sessions", body); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 8; round++ {
+		var done atomic.Bool
+		var snapErr error
+		var snapper sync.WaitGroup
+		snapper.Add(1)
+		go func() {
+			defer snapper.Done()
+			for !done.Load() {
+				if _, snapErr = serveJSON(sv, "POST", "/v1/sessions/s/snapshot", nil); snapErr != nil {
+					return
+				}
+			}
+		}()
+		acked := 0
+		var writeErr error
+		for i := 0; i < 6; i++ {
+			path, write := "add", any(map[string]any{"x": []float64{4.8 + 0.1*float64(i), 3.0, 1.3 + 0.2*float64(round), 0.2}, "y": i % 3})
+			if i%3 == 2 {
+				path, write = "remove", map[string]any{"indices": []int{round}}
+			}
+			var resp map[string]any
+			if resp, writeErr = serveJSON(sv, "POST", "/v1/sessions/s/"+path, write); writeErr != nil {
+				break
+			}
+			acked = int(resp["version"].(float64))
+		}
+		done.Store(true)
+		snapper.Wait()
+		if err := errors.Join(writeErr, snapErr); err != nil {
+			t.Fatal(err)
+		}
+		m, _ := sv.lookup("s")
+		want := m.s.Values()
+
+		sv = newTestServer(t, dir)
+		m2, ok := sv.lookup("s")
+		if !ok {
+			t.Fatalf("round %d: session not restored", round)
+		}
+		if got := m2.s.Version(); got != acked {
+			t.Fatalf("round %d: restored version %d, last acknowledged %d", round, got, acked)
+		}
+		if got := m2.s.Values(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: restored values diverge from the acknowledged state", round)
+		}
+	}
+	if err := sv.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

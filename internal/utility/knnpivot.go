@@ -8,11 +8,25 @@ import (
 	"dynshap/internal/game"
 )
 
-// knnPivot is the pivot-aware form of knnPrefix (game.PivotPrefixEvaluator):
+// knnPivot is the KNN utility's one window kernel (game.PivotPrefixEvaluator):
 // it walks ONE base chain of the KNN utility over the players outside the
 // pivot set and prices, from that chain's windows, every chain that adds
-// pivots to it. Walk serves the delta algorithms' U(S) / U(S ∪ {v}) pairs;
-// WalkNested serves the batched Pivot-s walk's nested chains.
+// pivots to it. Walk serves the delta algorithms' U(S) / U(S ∪ {v}) pairs,
+// and with no pivots it is the plain prefix walk every full-walk pass
+// makes; WalkNested serves the batched Pivot-s walk's nested chains; the
+// step view (knnStep, Prefix) advances the base chain one member per Add.
+//
+// The base chain. For every test point it keeps the window of the K
+// nearest coalition members ordered by (distance, original index) —
+// exactly the selection rule of dataset.Nearest scanning a coalition
+// subset in increasing index order, so the maintained windows, votes and
+// accuracy are bit-identical to a scratch ModelUtility.Value call on the
+// same coalition. Distances come from the utility's precomputed kernel
+// when it has one (one contiguous column read per member) and are
+// recomputed with Euclidean otherwise; the two sources carry identical
+// bits. The score is maintained by integer ±1 updates per membership
+// change, so a member costs O(m·(K + classes)) with the kernel and no
+// distance work at all.
 //
 // Why one chain suffices. Under the (distance, index) order the window of
 // S ∪ {v} at test point t is the base window W_t(S) with v appended while
@@ -48,16 +62,21 @@ type knnPivot struct {
 	classes int
 	soft    bool
 
-	// Distance source and labels, as in knnPrefix.
+	// The distance source: kernel columns when the utility has a kernel,
+	// otherwise scratch, filled with Euclidean calls per member (column).
+	// labels/testLabels cache the labels as flat arrays so the hot loop
+	// never chases Point structs.
 	kernel     *dataset.DistanceKernel
 	scratch    []float64
 	labels     []int32
 	testLabels []int32
 
-	// The base chain, as in knnPrefix: m×k windows with their tails packed
-	// in worst/worstIdx once full, and for the hard vote the m×classes vote
-	// table and per-test correctness. score is the correct count (hard) or
-	// the same-label total (soft).
+	// The base chain: m×k windows; once full, their tails packed in
+	// worst/worstIdx, so the steady-state reject test ("not among the K
+	// nearest") reads two unit-stride values instead of striding across
+	// window rows; and for the hard vote the m×classes vote table and
+	// per-test correctness. score is the correct count (hard) or the
+	// same-label total (soft).
 	dists    []float64
 	idxs     []int32
 	worst    []float64
@@ -116,15 +135,21 @@ type knnPivot struct {
 // PivotPrefix implements game.PivotPrefixer for the KNN trainers
 // (majority-vote and soft), with kernel or Euclidean distances; other
 // trainers return nil, sending callers to one chain per pivot. pivots are
-// training indices. Walks train no model; a Walk counts
-// (len(pivots)+1)·len(perm) prefix adds and a WalkNested one per chain
-// position (game.NestedPositions), added once per walk. PivotPrefix is
-// safe for concurrent calls; each returned evaluator must stay on one
-// goroutine.
+// training indices; with none, Walk is the plain prefix walk. Walks train
+// no model; a Walk counts (len(pivots)+1)·len(perm) prefix adds and a
+// WalkNested one per chain position (game.NestedPositions), added once per
+// walk. PivotPrefix is safe for concurrent calls; each returned evaluator
+// must stay on one goroutine.
 func (u *ModelUtility) PivotPrefix(pivots []int) game.PivotPrefixEvaluator {
 	if u.knnK == 0 {
 		return nil
 	}
+	return u.knnPivot(pivots)
+}
+
+// knnPivot builds the window kernel over the given pivots; the utility
+// must be a KNN one (knnK > 0).
+func (u *ModelUtility) knnPivot(pivots []int) *knnPivot {
 	m, np, classes := u.test.Len(), len(pivots), u.train.Classes
 	e := &knnPivot{
 		u:          u,
@@ -163,7 +188,10 @@ func (u *ModelUtility) PivotPrefix(pivots []int) game.PivotPrefixEvaluator {
 		e.pLabels[j] = e.labels[v]
 		copy(e.pDist[j*m:], e.column(v))
 	}
-	for t := 0; t < m; t++ {
+	// Without pivots (the plain walk and the step view) there is nothing
+	// to order, and the sort's per-call allocations would be the bulk of
+	// the evaluator's construction.
+	for t := 0; np > 0 && t < m; t++ {
 		ord := e.order[t*np : (t+1)*np]
 		for j := range ord {
 			ord[j] = int32(j)
@@ -183,7 +211,7 @@ func (u *ModelUtility) PivotPrefix(pivots []int) game.PivotPrefixEvaluator {
 		e.votes = make([]int32, m*classes)
 		e.ok = make([]bool, m)
 	}
-	e.values = []float64{0} // m = 0: every utility is 0, as in Add
+	e.values = []float64{0} // m = 0: every utility is 0, as ml.Accuracy scores it
 	if m > 0 {
 		e.values = make([]float64, denom+1)
 		for c := range e.values {
@@ -310,9 +338,13 @@ func (e *knnPivot) resetNested() {
 }
 
 // add inserts training point p into the base chain, whose size before the
-// insertion is size. Window maintenance is knnPrefix.Add's: the same
-// (distance, index) order, and once windows are full the same packed-tail
-// test rejects p at most test points on two sequential loads.
+// insertion is size. While windows are not full no candidate can be
+// rejected: each slides into place and extends its window by one. Once
+// they are full, p enters window t only if it beats the tail under the
+// (distance, index) order — the rule dataset.Nearest's index-order scan
+// implements implicitly: strictly smaller distance displaces, equal
+// distance keeps the earlier (smaller) index — and the packed tails
+// decide the common rejection on two sequential loads.
 func (e *knnPivot) add(p, size int) {
 	col := e.column(p)
 	wlen := min(size, e.k)
@@ -367,7 +399,9 @@ func (e *knnPivot) enter(t, p, wlen int, d float64) {
 
 // scoreChange applies the base window change {+pLabel, −dLabel} (no
 // removal when dLabel is −1) at test point t and returns the change in the
-// chain's score. Integer bookkeeping, as in knnPrefix.tally and softTally.
+// chain's score. Integer counts updated by ±1 are exact, so the argmax —
+// ties toward the smaller label, as in the scratch classifier — equals a
+// full recount, and the soft count matches softValue's total, bit for bit.
 func (e *knnPivot) scoreChange(t int, pLabel, dLabel int32) int {
 	if e.soft {
 		y, delta := e.testLabels[t], 0

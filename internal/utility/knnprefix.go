@@ -1,348 +1,53 @@
 package utility
 
-import (
-	"dynshap/internal/dataset"
-	"dynshap/internal/game"
-	"dynshap/internal/ml"
-)
+import "dynshap/internal/game"
 
-// knnPrefix incrementally maintains the KNN utility U(S) = test accuracy of
-// a k-NN classifier trained on the coalition S, as points join S one at a
-// time (the structure Jia et al. exploit for exact k-NN Shapley values).
-//
-// For every test point it keeps the candidate list of the k nearest
-// coalition members ordered by (distance, original index) — exactly the
-// selection rule of dataset.Nearest scanning a coalition subset in
-// increasing index order, so the maintained windows, votes, and accuracy
-// are bit-identical to a scratch ModelUtility.Value call on the same
-// coalition. Distances come from the utility's precomputed kernel when it
-// has one (one contiguous column read per Add) and are recomputed with
-// Euclidean otherwise; the two sources carry identical bits. Votes are
-// maintained incrementally — one increment for the entering member, one
-// decrement for the displaced one — instead of recounting the window, so
-// an Add costs O(m·(k + classes)) with the kernel, with no distance work
-// at all.
-type knnPrefix struct {
-	u       *ModelUtility
-	k       int
-	m       int // number of test points
-	classes int
-
-	// col is the distance source for the point being added: a kernel column
-	// when the utility has one, otherwise scratch filled with Euclidean
-	// calls at the top of Add.
-	kernel  *dataset.DistanceKernel
-	scratch []float64
-
-	// labels caches train/test labels as flat arrays so the hot loop never
-	// chases Point structs.
-	labels     []int32
-	testLabels []int32
-
-	// Per-test-point candidate windows, row-major m×k. Window j holds the
-	// min(|S|, k) nearest coalition members of test point j; row length is
-	// uniform because every training point is a candidate for every test
-	// point.
-	dists []float64
-	idxs  []int32
-
-	// worst/worstIdx cache each full window's tail entry — (dists, idxs)
-	// at row position k−1 — in two packed arrays, so the steady-state
-	// reject test ("not among the k nearest") reads two unit-stride values
-	// instead of striding across window rows. Written whenever a window's
-	// tail changes; read only once windows are full, so no initialisation
-	// is needed at Reset.
-	worst    []float64
-	worstIdx []int32
-
-	// votes is the row-major m×classes table of vote counts over the
-	// current windows. Integer counts updated by ±1 per membership change
-	// are exact, so the argmax below equals a full recount bit-for-bit.
-	votes []int32
-
-	// predCorrect[j] reports whether the current vote for test point j
-	// matches its label; correct is the running total.
-	predCorrect []bool
-	correct     int
-
-	// soft switches the scoring rule to the soft k-NN utility (SoftKNN
-	// trainers): instead of voting, softTotal counts same-label members
-	// across all windows and the value is softTotal/(k·m) — the same
-	// single integer-derived division softValue performs, so the two
-	// paths are bit-identical. Window maintenance is shared; only the
-	// ±1 bookkeeping per membership change differs.
-	soft      bool
-	softTotal int
-
+// knnStep is the step view of the KNN utility's incremental evaluator: the
+// base chain of a zero-pivot knnPivot, advanced one member per Add. It
+// maintains U(S) = test accuracy of a k-NN classifier trained on the
+// coalition S (or the soft score) as points join S one at a time — the
+// structure Jia et al. exploit for exact k-NN Shapley values — with the
+// window kernel the whole-walk and pivot-aware walks run on, so every
+// route carries the same bits as a scratch ModelUtility.Value call on the
+// same coalition.
+type knnStep struct {
+	e    *knnPivot
 	size int // members added since Reset
 }
 
 // Prefix implements game.Prefixer. The capability is available only for
 // the KNN trainers (majority-vote and soft), whose lazy models admit
 // exact incremental maintenance; other trainers return nil, sending
-// estimators down the scratch-Value fallback. Evaluations through the evaluator train no model: they do not
-// count as Fits, and the simulated training latency (WithSimulatedLatency)
-// does not apply. Prefix is safe for concurrent calls; each returned
-// evaluator must stay on one goroutine.
+// estimators down the scratch-Value fallback. Evaluations through the
+// evaluator train no model: they do not count as Fits, and the simulated
+// training latency (WithSimulatedLatency) does not apply. Each Add counts
+// one prefix add. The engine's full walks price a whole permutation in one
+// PivotPrefix(nil) Walk instead; this view serves the walks that stop or
+// seed part way (TMC's cut, the sequential references). Prefix is safe for
+// concurrent calls; each returned evaluator must stay on one goroutine.
 func (u *ModelUtility) Prefix() game.PrefixEvaluator {
-	var k int
-	var soft bool
-	switch tr := u.trainer.(type) {
-	case ml.KNN:
-		k = tr.K
-	case ml.SoftKNN:
-		k = tr.K
-		soft = true
-	default:
+	if u.knnK == 0 {
 		return nil
 	}
-	if k == 0 {
-		k = 5
-	}
-	m := u.test.Len()
-	e := &knnPrefix{
-		u:           u,
-		k:           k,
-		m:           m,
-		soft:        soft,
-		classes:     u.train.Classes,
-		kernel:      u.kernel,
-		labels:      make([]int32, u.train.Len()),
-		testLabels:  make([]int32, m),
-		dists:       make([]float64, m*k),
-		idxs:        make([]int32, m*k),
-		worst:       make([]float64, m),
-		worstIdx:    make([]int32, m),
-		votes:       make([]int32, m*u.train.Classes),
-		predCorrect: make([]bool, m),
-	}
-	for i, p := range u.train.Points {
-		e.labels[i] = int32(p.Y)
-	}
-	for j, p := range u.test.Points {
-		e.testLabels[j] = int32(p.Y)
-	}
-	if e.kernel == nil {
-		e.scratch = make([]float64, m)
-	}
-	return e
+	return &knnStep{e: u.knnPivot(nil)}
 }
 
 // PrefixAdds returns the number of incremental prefix evaluations served by
-// evaluators handed out by Prefix (the trainings avoided, roughly).
+// evaluators handed out by Prefix and PivotPrefix (the trainings avoided,
+// roughly).
 func (u *ModelUtility) PrefixAdds() int64 { return u.prefixAdds.Load() }
 
 // Reset implements game.PrefixEvaluator.
-func (e *knnPrefix) Reset() {
-	e.size = 0
-	e.correct = 0
-	e.softTotal = 0
-	// The windows restart empty (size gates how much of each row is live),
-	// but the vote table mirrors window contents and must restart at zero.
-	for i := range e.votes {
-		e.votes[i] = 0
-	}
+func (s *knnStep) Reset() {
+	s.e.reset()
+	s.size = 0
 }
 
 // Add implements game.PrefixEvaluator: training point p joins the
-// coalition; the new utility is returned. The soft rule gets its own copy
-// of the walk (addSoft) rather than a per-event branch inside this one:
-// interleaving the two scoring rules in one body measurably degraded the
-// majority-vote loop's codegen, and this loop carries every sampled KNN
-// estimator.
-func (e *knnPrefix) Add(p int) float64 {
-	if e.soft {
-		return e.addSoft(p)
-	}
-	e.u.prefixAdds.Add(1)
-	e.size++
-	wlen := e.size - 1 // window length before this Add
-	if wlen > e.k {
-		wlen = e.k
-	}
-	var col []float64
-	if e.kernel != nil {
-		col = e.kernel.Col(p)
-	} else {
-		col = e.scratch
-		px := e.u.train.Points[p].X
-		for j := 0; j < e.m; j++ {
-			col[j] = dataset.Euclidean(e.u.test.Points[j].X, px)
-		}
-	}
-	pLabel := e.labels[p]
-	idx := int32(p)
-	if wlen == e.k {
-		// Steady state: every window is full. A candidate enters window j
-		// only if it beats the tail under the (distance, index) order —
-		// the rule dataset.Nearest's index-order scan implements
-		// implicitly: strictly smaller distance displaces, equal distance
-		// keeps the earlier (smaller) index. The packed tail cache decides
-		// the common rejection on two sequential loads.
-		for j := 0; j < e.m; j++ {
-			d := col[j]
-			if d > e.worst[j] || (d == e.worst[j] && idx > e.worstIdx[j]) {
-				continue
-			}
-			row := j * e.k
-			last := row + e.k - 1
-			displaced := e.idxs[last]
-			pos := e.k - 1
-			for pos > 0 && (e.dists[row+pos-1] > d || (e.dists[row+pos-1] == d && e.idxs[row+pos-1] > idx)) {
-				e.dists[row+pos] = e.dists[row+pos-1]
-				e.idxs[row+pos] = e.idxs[row+pos-1]
-				pos--
-			}
-			e.dists[row+pos] = d
-			e.idxs[row+pos] = idx
-			e.worst[j] = e.dists[last]
-			e.worstIdx[j] = e.idxs[last]
-			// A same-label swap leaves the vote row — and therefore the
-			// prediction — untouched: skipping the tally is exact.
-			if dl := e.labels[displaced]; dl != pLabel {
-				e.tally(j, pLabel, dl)
-			}
-		}
-	} else {
-		// Growing phase (the first k adds after Reset): windows are not
-		// full yet, so no candidate can be rejected — each slides into
-		// place and extends its window by one.
-		for j := 0; j < e.m; j++ {
-			d := col[j]
-			row := j * e.k
-			pos := wlen
-			for pos > 0 && (e.dists[row+pos-1] > d || (e.dists[row+pos-1] == d && e.idxs[row+pos-1] > idx)) {
-				e.dists[row+pos] = e.dists[row+pos-1]
-				e.idxs[row+pos] = e.idxs[row+pos-1]
-				pos--
-			}
-			e.dists[row+pos] = d
-			e.idxs[row+pos] = idx
-			if wlen+1 == e.k {
-				last := row + e.k - 1
-				e.worst[j] = e.dists[last]
-				e.worstIdx[j] = e.idxs[last]
-			}
-			e.tally(j, pLabel, -1)
-		}
-	}
-	if e.m == 0 {
-		return 0 // matches ml.Accuracy on an empty test set
-	}
-	return float64(e.correct) / float64(e.m)
-}
-
-// addSoft is Add for the soft scoring rule: identical window maintenance,
-// but the per-membership-change bookkeeping is the softTotal ±1 update and
-// the return value is softTotal/(k·m) — the same single integer-derived
-// division softValue performs, so the two paths are bit-identical.
-func (e *knnPrefix) addSoft(p int) float64 {
-	e.u.prefixAdds.Add(1)
-	e.size++
-	wlen := e.size - 1
-	if wlen > e.k {
-		wlen = e.k
-	}
-	var col []float64
-	if e.kernel != nil {
-		col = e.kernel.Col(p)
-	} else {
-		col = e.scratch
-		px := e.u.train.Points[p].X
-		for j := 0; j < e.m; j++ {
-			col[j] = dataset.Euclidean(e.u.test.Points[j].X, px)
-		}
-	}
-	pLabel := e.labels[p]
-	idx := int32(p)
-	if wlen == e.k {
-		for j := 0; j < e.m; j++ {
-			d := col[j]
-			if d > e.worst[j] || (d == e.worst[j] && idx > e.worstIdx[j]) {
-				continue
-			}
-			row := j * e.k
-			last := row + e.k - 1
-			displaced := e.idxs[last]
-			pos := e.k - 1
-			for pos > 0 && (e.dists[row+pos-1] > d || (e.dists[row+pos-1] == d && e.idxs[row+pos-1] > idx)) {
-				e.dists[row+pos] = e.dists[row+pos-1]
-				e.idxs[row+pos] = e.idxs[row+pos-1]
-				pos--
-			}
-			e.dists[row+pos] = d
-			e.idxs[row+pos] = idx
-			e.worst[j] = e.dists[last]
-			e.worstIdx[j] = e.idxs[last]
-			// A same-label swap leaves the same-label count untouched.
-			if dl := e.labels[displaced]; dl != pLabel {
-				e.softTally(j, pLabel, dl)
-			}
-		}
-	} else {
-		for j := 0; j < e.m; j++ {
-			d := col[j]
-			row := j * e.k
-			pos := wlen
-			for pos > 0 && (e.dists[row+pos-1] > d || (e.dists[row+pos-1] == d && e.idxs[row+pos-1] > idx)) {
-				e.dists[row+pos] = e.dists[row+pos-1]
-				e.idxs[row+pos] = e.idxs[row+pos-1]
-				pos--
-			}
-			e.dists[row+pos] = d
-			e.idxs[row+pos] = idx
-			if wlen+1 == e.k {
-				last := row + e.k - 1
-				e.worst[j] = e.dists[last]
-				e.worstIdx[j] = e.idxs[last]
-			}
-			e.softTally(j, pLabel, -1)
-		}
-	}
-	if e.m == 0 {
-		return 0
-	}
-	return float64(e.softTotal) / float64(e.k*e.m)
-}
-
-// softTally applies the membership change {+pLabel, −displacedLabel} (no
-// removal when displacedLabel is −1) to the soft rule's same-label count.
-// Integer ±1 updates are exact, and the final division in addSoft matches
-// softValue's canonical total/(k·m), so prefix evaluation is bit-identical
-// to scratch soft evaluation of the same coalition.
-func (e *knnPrefix) softTally(j int, pLabel, displacedLabel int32) {
-	ty := e.testLabels[j]
-	if pLabel == ty {
-		e.softTotal++
-	}
-	if displacedLabel >= 0 && displacedLabel == ty {
-		e.softTotal--
-	}
-}
-
-// tally applies the membership change {+pLabel, −displacedLabel} (no
-// removal when displacedLabel is -1) to window j's vote row and refreshes
-// the prediction. Integer counts updated by ±1 are exact, so the argmax —
-// ties toward the smaller label, as in the scratch classifier — equals a
-// full recount bit-for-bit.
-func (e *knnPrefix) tally(j int, pLabel, displacedLabel int32) {
-	vrow := j * e.classes
-	e.votes[vrow+int(pLabel)]++
-	if displacedLabel >= 0 {
-		e.votes[vrow+int(displacedLabel)]--
-	}
-	best := 0
-	for c := 1; c < e.classes; c++ {
-		if e.votes[vrow+c] > e.votes[vrow+best] {
-			best = c
-		}
-	}
-	ok := int32(best) == e.testLabels[j]
-	if e.size > 1 && e.predCorrect[j] {
-		e.correct--
-	}
-	if ok {
-		e.correct++
-	}
-	e.predCorrect[j] = ok
+// coalition; the new utility is returned.
+func (s *knnStep) Add(p int) float64 {
+	s.e.u.prefixAdds.Add(1)
+	s.e.add(p, s.size)
+	s.size++
+	return s.e.values[s.e.score]
 }

@@ -158,7 +158,12 @@ func (s *Session) Snapshot() *Snapshot {
 	st := s.state.Load()
 	train := st.train.Clone()
 	test := s.test.Clone()
-	jst := s.journal.State()
+	// publish journals an update before it stores the state, so a write
+	// landing after the load above may already be in the journal: keep
+	// only the entries through the loaded version, or the snapshot's
+	// history would run past its own values and Resume would claim the
+	// later version.
+	jst := s.journal.StateThrough(st.version)
 	// Wall time is run metadata, not replayable state: dropping it keeps
 	// snapshots byte-identical across runs with identical flags and seeds.
 	for i := range jst.Entries {

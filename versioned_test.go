@@ -3,8 +3,10 @@ package dynshap
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -584,5 +586,66 @@ func TestFailedUpdatesLeaveExactSessionUntouched(t *testing.T) {
 		if exactPublished {
 			bitEqualF(t, step.name+": published values vs from scratch", s.Values(), fresh.Values())
 		}
+	}
+}
+
+// TestSnapshotMatchesItsVersionUnderWrites takes snapshots while a writer
+// updates the session. Every snapshot must be one published version: its
+// journal ends at its Version, Resume lands on that version with its
+// Values bit for bit, and replaying its journal reproduces those values.
+func TestSnapshotMatchesItsVersionUnderWrites(t *testing.T) {
+	train, test := fixture(t, 30)
+	s := NewSession(train, test, SoftKNNClassifier{K: 3}, WithSeed(5))
+	if err := s.Init(); err != nil {
+		t.Fatal(err)
+	}
+	var finished atomic.Bool
+	writeErr := make(chan error, 1)
+	writerDone := make(chan struct{})
+	defer func() { <-writerDone }()
+	go func() {
+		defer close(writerDone)
+		defer finished.Store(true)
+		for i, p := range batchTestPoints(200, 4) {
+			if _, err := s.Add([]Point{p}, AlgoExactKNN); err != nil {
+				writeErr <- err
+				return
+			}
+			if i%2 == 1 {
+				if _, err := s.Delete([]int{i % 5}, AlgoExactKNN); err != nil {
+					writeErr <- err
+					return
+				}
+			}
+		}
+	}()
+	for i := 0; !finished.Load(); i++ {
+		sn := s.Snapshot()
+		entries := sn.Journal.Entries
+		if last := entries[len(entries)-1].Version; last != sn.Version {
+			t.Fatalf("snapshot %d: version %d, journal ends at %d", i, sn.Version, last)
+		}
+		r, err := sn.Resume(SoftKNNClassifier{K: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Version() != sn.Version || !slices.Equal(r.Values(), sn.Values) {
+			t.Fatalf("snapshot %d (version %d): resumed at version %d with other values", i, sn.Version, r.Version())
+		}
+		if i%8 != 0 {
+			continue // replays are the slow check: sample them
+		}
+		rep, err := r.ReplayTo(sn.Version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(rep.Values(), sn.Values) {
+			t.Fatalf("snapshot %d (version %d): its journal replays to other values", i, sn.Version)
+		}
+	}
+	select {
+	case err := <-writeErr:
+		t.Fatal(err)
+	default:
 	}
 }
