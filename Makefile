@@ -11,15 +11,16 @@ build:
 
 # lint first, then the full suite, then a race pass over the packages with
 # concurrent internals: the parallel estimators, the sharded coalition
-# cache, the exact k-NN estimator's column-striped workers, the fused k-NN
-# evaluators built per walker goroutine, the write coalescer, the HTTP
-# server, and the root package's versioned session store (non-blocking
-# reads racing live updates). Last, the benchmark: perfbench is its own
-# module, so `go test ./...` above never compiles it.
+# cache, the distance kernel's parallel column fill and its in-place
+# append sharing, the exact k-NN estimator's column-striped workers, the
+# fused k-NN evaluators built per walker goroutine, the write coalescer,
+# the HTTP server, and the root package's versioned session store
+# (non-blocking reads racing live updates). Last, the benchmark: perfbench
+# is its own module, so `go test ./...` above never compiles it.
 test: lint
 	$(GO) test ./...
-	$(GO) test -race . ./internal/core/... ./internal/exact/... ./internal/game/... \
-		./internal/utility/... ./internal/coalesce/... ./internal/serve/...
+	$(GO) test -race . ./internal/core/... ./internal/dataset/... ./internal/exact/... \
+		./internal/game/... ./internal/utility/... ./internal/coalesce/... ./internal/serve/...
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # go vet and gofmt always run: lint fails, listing the files, when gofmt

@@ -67,17 +67,6 @@ func (d *Dataset) Clone() *Dataset {
 	return &Dataset{Points: pts, Classes: d.Classes}
 }
 
-// View returns a structurally independent copy of the dataset: a fresh
-// Points slice sharing the points' feature storage with the receiver.
-// Appending to or reordering the view never affects the receiver, but
-// mutating a point's X in place would — the right derivation for
-// read-only consumers on hot paths (see Append's immutability argument).
-func (d *Dataset) View() *Dataset {
-	pts := make([]Point, len(d.Points))
-	copy(pts, d.Points)
-	return &Dataset{Points: pts, Classes: d.Classes}
-}
-
 // Subset returns a new dataset holding clones of the points at the given
 // indices, in the given order.
 func (d *Dataset) Subset(indices []int) *Dataset {

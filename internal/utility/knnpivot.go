@@ -47,14 +47,23 @@ import (
 // Nested chains. Chain j of WalkNested holds the base players walked so
 // far, S, and the pivots 0..j that have arrived. Its window at t is the
 // first K of W_t(S) merged with those pivots, and only pivots still live
-// at t — sorting before W_t(S)'s K-th entry — can be among them, so the
-// same order/gone lists retire pivots for good. Chain j's score is the
+// at t — sorting before W_t(S)'s K-th entry — can be among them; each test
+// point keeps its live arrived pivots and drops for good those the K-th
+// entry passes. Chain j's score is the
 // base score plus Σ_t T_t(j), where T_t(j) is the merged window's term
 // over the base window's; as j grows T_t moves only at the live arrived
 // pivots, so each test point keeps its few steps (j, change), and diff
-// sums them over t: C_j = Σ_{i≤j} diff[i]. A test point's steps are
-// recomputed only when its base window changed or a pivot arrived, and
-// only while it holds a live arrived pivot or still has steps.
+// sums them over t: C_j = Σ_{i≤j} diff[i]. Only test points that hold a
+// live arrived pivot are repriced, when their base window changes or a
+// pivot arrives: a base window change elsewhere moves no term, and an
+// arriving pivot is checked against the window's tail directly. A test
+// point with one live arrived pivot — nearly every one — prices that
+// pivot's term straight off the base window, as refresh prices a label
+// (hard vote: the vote with the pivot's label in and the tail's out,
+// against ok; soft: [c = y] − [tail = y]); only two or more are merged.
+// Chain j opens just before pivot j arrives, at its slot: pivots above j
+// never move C_j, so the chain's value then is its entry there (U(∅) at
+// slot 0). From then on each position writes only the open chains.
 type knnPivot struct {
 	u       *ModelUtility
 	k       int
@@ -87,9 +96,9 @@ type knnPivot struct {
 
 	// The pivots. order[t*np:(t+1)*np] lists them for test point t from the
 	// last to sort to the first under (distance, index) — the order in which
-	// they leave window t, with their distances in orderDist — so the pivots
-	// still in window t are order[t*np+gone[t] : (t+1)*np]. pDist[j*m+t] is
-	// pivot j's distance to test point t.
+	// they leave window t, with their distances in orderDist — so in Walk
+	// the pivots still in window t are order[t*np+gone[t] : (t+1)*np].
+	// pDist[j*m+t] is pivot j's distance to test point t.
 	pivots    []int32
 	pLabels   []int32
 	pDist     []float64
@@ -114,9 +123,10 @@ type knnPivot struct {
 	// test point t are liveJ[t*np:], live[t] of them, in pivot order. Its
 	// steps are stepJ/stepD[t*np:], nstep[t] of them, in pivot order;
 	// diff[j] sums the steps at j over every test point, and corr holds
-	// its prefix sums while dirty is false. cnt[j] counts chain j's
-	// members walked. The rest is one restep's scratch: the new steps
-	// (newJ, newD), the merged window (mDist, mIdx) and its votes (mVotes).
+	// its prefix sums while dirty is false. The chains whose pivot has
+	// arrived are open, listed in opened by index. The rest is one
+	// restep's scratch: the new steps (newJ, newD), the merged window
+	// (mDist, mIdx) and its votes (mVotes).
 	nested       bool
 	rank         []int32
 	liveJ        []int32
@@ -125,7 +135,7 @@ type knnPivot struct {
 	nstep        []int32
 	diff         []int
 	dirty        bool
-	cnt          []int
+	opened       []openChain
 	newJ, newD   []int32
 	mDist        []float64
 	mIdx         []int32
@@ -251,26 +261,21 @@ func (e *knnPivot) Walk(perm []int, row []float64) {
 }
 
 // WalkNested implements game.PivotPrefixEvaluator: one walk of final's
-// base players, with each pivot's arrival, prices every chain. Chain j's
-// position count moves with every base player and every arrived pivot up
-// to j; from its start on, each of its positions is read off the base
-// score and C_j. A chain that starts at 0 opens on U(∅), the utility's
-// empty value, as the scratch path does.
+// base players, with each pivot's arrival, prices every chain. Chain j
+// opens at its start when pivot j arrives; from then on every base player
+// and every arriving pivot up to j is one more of its positions, read off
+// the base score and C_j. A chain that starts at 0 opens on U(∅), the
+// utility's empty value, as the scratch path does.
 func (e *knnPivot) WalkNested(final, starts []int, row []float64) {
 	e.reset()
 	e.resetNested()
 	stride := len(final) + 1
-	for j, s := range starts {
-		if s == 0 {
-			row[j*stride] = e.u.emptyValue
-		}
-	}
 	size := 0 // base players walked
 	for _, p := range final {
-		from := 0 // the first chain p belongs to
+		from := 0 // the first open chain p belongs to
 		if a := int(e.rank[p]); a >= 0 {
+			from = e.open(a, starts[a], a*stride, row)
 			e.arrive(a, min(size, e.k))
-			from = a
 		} else {
 			e.add(p, size)
 			size++
@@ -281,17 +286,45 @@ func (e *knnPivot) WalkNested(final, starts []int, row []float64) {
 				c += d
 				e.corr[j] = c
 			}
+			for i := range e.opened {
+				e.opened[i].c = e.corr[e.opened[i].j]
+			}
 			e.dirty = false
 		}
-		for j := from; j < len(starts); j++ {
-			e.cnt[j]++
-			if c := e.cnt[j]; c >= starts[j] {
-				row[j*stride+c] = e.values[e.score+e.corr[j]]
-			}
+		for i := from; i < len(e.opened); i++ {
+			ch := &e.opened[i]
+			ch.at++
+			row[ch.at] = e.values[e.score+ch.c]
 		}
 	}
 	e.u.prefixAdds.Add(game.NestedPositions(len(final), len(starts)))
 }
+
+// open starts chain a, whose segment begins at row[seg], just before pivot
+// a arrives at the chain's position slot: it writes the chain's value
+// there — U(∅) at slot 0 — and files the chain among the open ones by
+// index, returning its place; every open chain from that place on holds
+// pivot a. Pivots above a never move C_a, so C_a already holds the chain's
+// correction.
+func (e *knnPivot) open(a, slot, seg int, row []float64) int {
+	at := seg + slot
+	if slot == 0 {
+		row[at] = e.u.emptyValue
+	} else {
+		row[at] = e.values[e.score+e.corr[a]]
+	}
+	i := len(e.opened)
+	e.opened = append(e.opened, openChain{})
+	for ; i > 0 && e.opened[i-1].j > a; i-- {
+		e.opened[i] = e.opened[i-1]
+	}
+	e.opened[i] = openChain{j: a, at: at, c: e.corr[a]}
+	return i
+}
+
+// openChain is an open chain of the nested walk: its index j, the row
+// offset of its last written position, and its correction C_j.
+type openChain struct{ j, at, c int }
 
 // reset empties the base chain and puts every pivot back in every window,
 // with term 0: C_j = 0 on the empty prefix.
@@ -323,7 +356,7 @@ func (e *knnPivot) resetNested() {
 		e.stepD = make([]int32, e.m*np)
 		e.nstep = make([]int32, e.m)
 		e.diff = make([]int, np)
-		e.cnt = make([]int, np)
+		e.opened = make([]openChain, 0, np)
 		e.newJ = make([]int32, 0, np)
 		e.newD = make([]int32, 0, np)
 		e.mDist = make([]float64, 0, e.k)
@@ -333,7 +366,7 @@ func (e *knnPivot) resetNested() {
 	clear(e.live)
 	clear(e.nstep)
 	clear(e.diff)
-	clear(e.cnt)
+	e.opened = e.opened[:0]
 	e.dirty = false
 }
 
@@ -366,7 +399,8 @@ func (e *knnPivot) add(p, size int) {
 
 // enter puts training point p, at distance d, into window t of length
 // wlen — displacing the tail when the window is full — updates the
-// chain's score, and refreshes the pivots still in window t.
+// chain's score, and refreshes the pivots still in window t (in the
+// nested walk, only while t holds a live arrived pivot).
 func (e *knnPivot) enter(t, p, wlen int, d float64) {
 	k, idx := e.k, int32(p)
 	row := t * k
@@ -387,12 +421,17 @@ func (e *knnPivot) enter(t, p, wlen int, d float64) {
 	if full {
 		e.worst[t], e.worstIdx[t] = e.dists[row+k-1], e.idxs[row+k-1]
 	}
-	e.score += e.scoreChange(t, e.labels[p], dLabel)
+	pLabel := e.labels[p]
+	e.score += e.scoreChange(t, pLabel, dLabel)
 	if int(e.gone[t]) < len(e.pivots) {
-		if e.nested {
+		if !e.nested {
+			kept := int32(-1)
+			if pLabel == dLabel {
+				kept = dLabel
+			}
+			e.refresh(t, full, kept)
+		} else if e.live[t] > 0 {
 			e.refreshNested(t, min(wlen+1, k))
-		} else {
-			e.refresh(t, full)
 		}
 	}
 }
@@ -436,8 +475,11 @@ func (e *knnPivot) scoreChange(t int, pLabel, dLabel int32) int {
 // refresh brings the live pivots' terms at test point t up to date after
 // its base window changed. Pivots that no longer sort before the window's
 // K-th entry leave window t for good, giving back their term; the rest
-// move by their label's change in term.
-func (e *knnPivot) refresh(t int, full bool) {
+// move by their label's change in term. kept is the label of a full
+// window's same-label swap (−1 for any other change): when the tail keeps
+// that label too, the vote row, its correctness and the tail's label are
+// as they were, so no term moves.
+func (e *knnPivot) refresh(t int, full bool, kept int32) {
 	np := len(e.pivots)
 	base := t * np
 	gone := int(e.gone[t])
@@ -455,7 +497,7 @@ func (e *knnPivot) refresh(t int, full bool) {
 			e.corr[j] -= int(term[e.pLabels[j]])
 		}
 		e.gone[t] = int32(gone)
-		if gone == np {
+		if gone == np || tailLabel == kept {
 			return
 		}
 	}
@@ -535,29 +577,23 @@ func (e *knnPivot) arrive(a, blen int) {
 	}
 }
 
-// refreshNested is refresh for the nested walk: after test point t's base
-// window changed (now blen members), pivots that no longer sort before its
-// K-th entry leave window t for good, and t's steps are recomputed if it
-// holds a live arrived pivot or had steps.
+// refreshNested is refresh for the nested walk, called only while test
+// point t holds a live arrived pivot: after t's base window changed (now
+// blen members), the arrived pivots that no longer sort before its K-th
+// entry leave window t for good, and t's steps are recomputed. The walk
+// never tests the pivots that have not arrived: arrive tests each one
+// against the tail itself.
 func (e *knnPivot) refreshNested(t, blen int) {
-	np := len(e.pivots)
-	base := t * np
 	if blen == e.k {
-		gone := int(e.gone[t])
+		at := t * len(e.pivots)
 		tailDist, tailIdx := e.worst[t], e.worstIdx[t]
-		for ; gone < np; gone++ {
-			j := e.order[base+gone]
-			d := e.orderDist[base+gone]
-			if d < tailDist || (d == tailDist && e.pivots[j] < tailIdx) {
-				break
-			}
-			js := e.liveJ[base : base+int(e.live[t])]
-			if i := slices.Index(js, j); i >= 0 {
-				copy(js[i:], js[i+1:])
-				e.live[t]--
+		live := e.liveJ[at:at]
+		for _, j := range e.liveJ[at : at+int(e.live[t])] {
+			if d := e.pDist[int(j)*e.m+t]; d < tailDist || (d == tailDist && e.pivots[j] < tailIdx) {
+				live = append(live, j)
 			}
 		}
-		e.gone[t] = int32(gone)
+		e.live[t] = int32(len(live))
 	}
 	if e.live[t] > 0 || e.nstep[t] > 0 {
 		e.restep(t, blen)
@@ -565,13 +601,78 @@ func (e *knnPivot) refreshNested(t, blen int) {
 }
 
 // restep recomputes test point t's steps from its base window (blen
-// members) and its live arrived pivots, and moves diff by the change.
-// Taking those pivots in index order, it merges each into a copy of the
-// window under (distance, index) — dropping the merged K-th entry, base
-// member or earlier pivot, when the window is full and the pivot sorts
-// before it — and records a step wherever the merged window's term moves.
+// members) and its live arrived pivots, and moves diff by the change. A
+// lone live pivot's step is its own term, priced off the base window;
+// two or more go through mergeSteps.
 func (e *knnPivot) restep(t, blen int) {
-	np, k := len(e.pivots), e.k
+	np := len(e.pivots)
+	at := t * np
+	newJ, newD := e.newJ[:0], e.newD[:0]
+	switch live := e.liveJ[at : at+int(e.live[t])]; len(live) {
+	case 0:
+	case 1:
+		if d := e.soloTerm(t, blen, e.pLabels[live[0]]); d != 0 {
+			newJ, newD = append(newJ, live[0]), append(newD, d)
+		}
+	default:
+		newJ, newD = e.mergeSteps(t, blen, live)
+	}
+	oldJ, oldD := e.stepJ[at:at+int(e.nstep[t])], e.stepD[at:at+int(e.nstep[t])]
+	if slices.Equal(oldJ, newJ) && slices.Equal(oldD, newD) {
+		return
+	}
+	for i, j := range oldJ {
+		e.diff[j] -= int(oldD[i])
+	}
+	for i, j := range newJ {
+		e.diff[j] += int(newD[i])
+	}
+	copy(e.stepJ[at:], newJ)
+	copy(e.stepD[at:], newD)
+	e.nstep[t] = int32(len(newJ))
+	e.dirty = true
+}
+
+// soloTerm is the term of a live pivot of label c that is test point t's
+// only one: its window is the base window (blen members) plus c, less the
+// tail when the base window is full. Hard vote: the correctness of that
+// window's vote minus the base's; soft: [c = y] − [tail = y].
+func (e *knnPivot) soloTerm(t, blen int, c int32) int32 {
+	y, tail := e.testLabels[t], int32(-1)
+	if blen == e.k {
+		tail = e.labels[e.worstIdx[t]]
+	}
+	d := int32(0)
+	if e.soft {
+		if c == y {
+			d++
+		}
+		if tail == y {
+			d--
+		}
+		return d
+	}
+	v := e.votes[t*e.classes : (t+1)*e.classes]
+	v[c]++
+	best, _ := argmax(v, tail)
+	v[c]--
+	if best == y {
+		d++
+	}
+	if e.ok[t] {
+		d--
+	}
+	return d
+}
+
+// mergeSteps returns test point t's steps over its live arrived pivots.
+// Taking them in index order, it merges each into a copy of the base
+// window (blen members) under (distance, index) — dropping the merged K-th
+// entry, base member or earlier pivot, when the window is full and the
+// pivot sorts before it — and records a step wherever the merged window's
+// term moves.
+func (e *knnPivot) mergeSteps(t, blen int, live []int32) (newJ, newD []int32) {
+	k := e.k
 	y := e.testLabels[t]
 	mDist := append(e.mDist[:0], e.dists[t*k:t*k+blen]...)
 	mIdx := append(e.mIdx[:0], e.idxs[t*k:t*k+blen]...)
@@ -582,9 +683,9 @@ func (e *knnPivot) restep(t, blen int) {
 			base = 1
 		}
 	}
-	newJ, newD := e.newJ[:0], e.newD[:0]
+	newJ, newD = e.newJ[:0], e.newD[:0]
 	term := int32(0) // the merged window's term over the base window's
-	for _, j := range e.liveJ[t*np : t*np+int(e.live[t])] {
+	for _, j := range live {
 		d, idx := e.pDist[int(j)*e.m+t], e.pivots[j]
 		out := int32(-1) // the dropped entry's label, −1 for none
 		if len(mDist) == k {
@@ -624,21 +725,7 @@ func (e *knnPivot) restep(t, blen int) {
 			term = next
 		}
 	}
-	old := t * np
-	oldJ, oldD := e.stepJ[old:old+int(e.nstep[t])], e.stepD[old:old+int(e.nstep[t])]
-	if slices.Equal(oldJ, newJ) && slices.Equal(oldD, newD) {
-		return
-	}
-	for i, j := range oldJ {
-		e.diff[j] -= int(oldD[i])
-	}
-	for i, j := range newJ {
-		e.diff[j] += int(newD[i])
-	}
-	copy(e.stepJ[old:], newJ)
-	copy(e.stepD[old:], newD)
-	e.nstep[t] = int32(len(newJ))
-	e.dirty = true
+	return newJ, newD
 }
 
 // argmax returns the label with the most votes in v, one vote taken from

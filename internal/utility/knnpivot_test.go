@@ -1,6 +1,7 @@
 package utility
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"testing"
@@ -34,10 +35,15 @@ func gridData(rnd *rng.Source, count int) *dataset.Dataset {
 // some test sets are empty, pivots land first, last and next to each
 // other, and the grid data makes pivots tie with window members whose
 // indices sort both above and below the pivot's, and with each other —
-// the cases the (distance, index) order decides.
+// the cases the (distance, index) order decides. The test also counts the
+// window states the kernel's shortcuts split on, and fails if one never
+// occurs: a Walk refresh skipped on a same-label swap, a test point
+// holding two or more live arrived pivots, a lone live pivot retired, and
+// a slot-0 chain opened after a higher-index pivot arrived.
 func TestPivotPrefixMatchesScratch(t *testing.T) {
 	rnd := rng.New(2024)
 	var tiesBelow, tiesAbove, pivotTies, first, last, adjacent int
+	var skipped, multiLive, soloRetired, lateSlot0 int
 	for trial := 0; trial < 400; trial++ {
 		n := 2 + rnd.Intn(20)
 		m := rnd.Intn(7) // 0: empty test set
@@ -91,6 +97,7 @@ func TestPivotPrefixMatchesScratch(t *testing.T) {
 			if got, want := u.PrefixAdds()-before, int64(len(perm)*stride); got != want {
 				t.Fatalf("trial %d: walk counted %d prefix adds, want %d", trial, got, want)
 			}
+			skipped += skippedRefreshes(train, test, k, perm, pivots)
 			for col := 0; col < stride; col++ {
 				ref.Reset()
 				if col > 0 {
@@ -114,6 +121,10 @@ func TestPivotPrefixMatchesScratch(t *testing.T) {
 					break
 				}
 			}
+			multi, retired := liveCases(train, test, k, final, pivots)
+			multiLive += multi
+			soloRetired += retired
+			lateSlot0 += lateSlotZero(final, starts, pivots)
 			nested := make([]float64, np*(n+1))
 			for i := range nested {
 				nested[i] = math.NaN()
@@ -152,6 +163,125 @@ func TestPivotPrefixMatchesScratch(t *testing.T) {
 	if first == 0 || last == 0 || adjacent == 0 {
 		t.Fatalf("fixture placed no pivot somewhere: %d first, %d last, %d adjacent", first, last, adjacent)
 	}
+	if skipped == 0 || multiLive == 0 || soloRetired == 0 || lateSlot0 == 0 {
+		t.Fatalf("fixture missed a case the kernel splits on: %d skipped refreshes, %d test points holding two or more live arrived pivots, %d lone live pivots retired, %d slot-0 chains opened after a higher pivot",
+			skipped, multiLive, soloRetired, lateSlot0)
+	}
+	t.Logf("%d skipped refreshes, %d test points holding two or more live arrived pivots, %d lone live pivots retired, %d slot-0 chains opened after a higher pivot",
+		skipped, multiLive, soloRetired, lateSlot0)
+}
+
+// The kernel's fast paths split on window states; the helpers below
+// recount those states from scratch windows, so the test can show that
+// each case occurred.
+
+// windowTail returns the K-th nearest of members to x under (distance,
+// index), and whether there are K members.
+func windowTail(train *dataset.Dataset, x []float64, members []int, k int) (dist float64, idx int, full bool) {
+	if len(members) < k {
+		return 0, 0, false
+	}
+	type entry struct {
+		d float64
+		i int
+	}
+	w := make([]entry, len(members))
+	for a, p := range members {
+		w[a] = entry{dataset.Euclidean(x, train.Points[p].X), p}
+	}
+	slices.SortFunc(w, func(a, b entry) int {
+		if a.d != b.d {
+			return cmp.Compare(a.d, b.d)
+		}
+		return cmp.Compare(a.i, b.i)
+	})
+	return w[k-1].d, w[k-1].i, true
+}
+
+// sortsBefore reports whether training point p at distance d sorts before
+// (dist, idx) under the (distance, index) order.
+func sortsBefore(d float64, p int, dist float64, idx int) bool {
+	return d < dist || (d == dist && p < idx)
+}
+
+// skippedRefreshes counts the steps of a Walk of perm at which a full
+// window takes a member with its displaced tail's label and keeps its
+// tail's label while a pivot still sorts before the tail: the refreshes
+// Walk skips after the departures.
+func skippedRefreshes(train, test *dataset.Dataset, k int, perm, pivots []int) int {
+	count := 0
+	for pos, p := range perm {
+		for _, q := range test.Points {
+			oldDist, oldIdx, full := windowTail(train, q.X, perm[:pos], k)
+			if !full || !sortsBefore(dataset.Euclidean(q.X, train.Points[p].X), p, oldDist, oldIdx) {
+				continue
+			}
+			newDist, newIdx, _ := windowTail(train, q.X, perm[:pos+1], k)
+			y := train.Points[oldIdx].Y
+			if train.Points[p].Y != y || train.Points[newIdx].Y != y {
+				continue
+			}
+			for _, v := range pivots {
+				if sortsBefore(dataset.Euclidean(q.X, train.Points[v].X), v, newDist, newIdx) {
+					count++
+					break
+				}
+			}
+		}
+	}
+	return count
+}
+
+// liveCases replays a WalkNested of final over scratch windows. It counts
+// the (position, test point) pairs holding two or more live arrived
+// pivots — the merge path — and the base steps that retire a test point's
+// only live pivot.
+func liveCases(train, test *dataset.Dataset, k int, final, pivots []int) (multi, retired int) {
+	var base, arrived []int
+	prev := make([]int, test.Len())
+	for _, p := range final {
+		isPivot := slices.Contains(pivots, p)
+		if isPivot {
+			arrived = append(arrived, p)
+		} else {
+			base = append(base, p)
+		}
+		for t, q := range test.Points {
+			tailDist, tailIdx, full := windowTail(train, q.X, base, k)
+			live := 0
+			for _, v := range arrived {
+				if !full || sortsBefore(dataset.Euclidean(q.X, train.Points[v].X), v, tailDist, tailIdx) {
+					live++
+				}
+			}
+			if live >= 2 {
+				multi++
+			}
+			if !isPivot && prev[t] == 1 && live == 0 {
+				retired++
+			}
+			prev[t] = live
+		}
+	}
+	return multi, retired
+}
+
+// lateSlotZero counts the chains that start at slot 0 yet open after a
+// higher-index pivot has arrived, whose chain is open beside them.
+func lateSlotZero(final, starts, pivots []int) int {
+	count := 0
+	for j, s := range starts {
+		if s != 0 {
+			continue
+		}
+		for _, v := range final[:slices.Index(final, pivots[j])] {
+			if slices.Index(pivots, v) > j {
+				count++
+				break
+			}
+		}
+	}
+	return count
 }
 
 // nestedChains evolves a random order of base through the pivots' arrivals

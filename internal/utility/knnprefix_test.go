@@ -104,8 +104,10 @@ func TestPrefixUnavailableForOtherTrainers(t *testing.T) {
 	}
 }
 
-// Appending or removing points must not let the derived utility share the
-// receiver's test dataset (NewModelUtility promises clone isolation).
+// A utility derived by Append or Remove shares the receiver's test set,
+// which no utility modifies. Even a mutation of the derived utility's
+// test points must leave the receiver's values as they were: its k-NN
+// values read distances from the kernel built at construction.
 func TestAppendRemoveCloneTestSet(t *testing.T) {
 	u := knnFixture(t, 10, 8, 3, 11)
 	s := bitset.FromIndices(10, 0, 3, 7)

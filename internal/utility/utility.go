@@ -322,20 +322,26 @@ func (u *ModelUtility) ResetFits() { u.fits.Store(0) }
 // Train returns a clone of the training dataset being valued.
 func (u *ModelUtility) Train() *dataset.Dataset { return u.train.Clone() }
 
+// SharedTrain returns the training dataset being valued without copying
+// it. The dataset is shared and immutable: the utility never modifies it
+// (Append and Remove derive a new one for the new utility), and callers
+// must not either.
+func (u *ModelUtility) SharedTrain() *dataset.Dataset { return u.train }
+
 // Test returns a clone of the held-out test dataset.
 func (u *ModelUtility) Test() *dataset.Dataset { return u.test.Clone() }
 
 // Append returns a new ModelUtility over the training set extended with the
 // given points (the N⁺ view of the addition algorithms). The receiver is
-// unchanged; the derived train/test datasets are structurally independent
-// views sharing the points' immutable feature storage, and the trainer
-// and options carry over.
+// unchanged; the derived training set is a structurally independent view
+// sharing the points' immutable feature storage, the test set (which no
+// utility modifies) is shared, and the trainer and options carry over.
 // The kernel rides along with one O(m·d) column append per point instead
 // of an O(m·n·d) rebuild.
 func (u *ModelUtility) Append(points ...dataset.Point) *ModelUtility {
 	nu := &ModelUtility{
 		train:      u.train.Append(points...),
-		test:       u.test.View(),
+		test:       u.test,
 		trainer:    u.trainer,
 		knnK:       u.knnK,
 		soft:       u.soft,
@@ -352,15 +358,14 @@ func (u *ModelUtility) Append(points ...dataset.Point) *ModelUtility {
 
 // Remove returns a new ModelUtility over the training set without the
 // points at the given indices (the N⁻ view of the deletion algorithms).
-// Like Append, the derived utility is structurally independent of the
-// receiver (fresh train/test slices; nothing either does affects the
-// other) while sharing the points' immutable feature storage.
+// Like Append, the derived utility gets a fresh training slice, sharing
+// the points' immutable feature storage, and shares the test set.
 // The kernel is masked, not rebuilt: surviving columns keep their storage
 // and only the logical index map shrinks.
 func (u *ModelUtility) Remove(indices ...int) *ModelUtility {
 	nu := &ModelUtility{
 		train:      u.train.Remove(indices...),
-		test:       u.test.View(),
+		test:       u.test,
 		trainer:    u.trainer,
 		knnK:       u.knnK,
 		soft:       u.soft,

@@ -67,7 +67,8 @@ type Session struct {
 type sessionState struct {
 	version int
 
-	train *dataset.Dataset
+	// util holds the version's training set (see train); deriving the
+	// successor's utility derives its training set.
 	util  *utility.ModelUtility
 	cache *game.Cached
 
@@ -121,6 +122,10 @@ func (st *sessionState) next() *sessionState {
 	c.ranks = newRankStore()
 	return &c
 }
+
+// train returns the version's training set: its utility's, shared and
+// never modified.
+func (st *sessionState) train() *dataset.Dataset { return st.util.SharedTrain() }
 
 // totalFits is the session-lifetime training count as of this state.
 func (st *sessionState) totalFits() int64 { return st.pastFits + st.util.Fits() }
@@ -373,11 +378,12 @@ func newSessionFromConfig(train, test *dataset.Dataset, trainer ml.Trainer, cfg 
 		cfg:     cfg,
 		engine:  core.NewEngine(engineOpts...),
 	}
-	st := &sessionState{train: train.Clone(), ranks: newRankStore()}
-	rebuildUtility(s, st)
+	st := &sessionState{ranks: newRankStore()}
+	st.util = utility.NewModelUtility(train, s.test, s.trainer, s.utilOptions()...)
+	st.cache = game.NewCached(st.util)
 	st.exact = s.buildExact(st)
 	s.state.Store(st)
-	s.journal = journal.New(st.train.Points, st.train.Classes, nil)
+	s.journal = journal.New(st.train().Points, st.train().Classes, nil)
 	return s
 }
 
@@ -387,19 +393,6 @@ func newSessionFromConfig(train, test *dataset.Dataset, trainer ml.Trainer, cfg 
 // in between — including failed attempts, which consume nothing durable.
 func (s *Session) opSource(version int) *rng.Source {
 	return rng.NewStream(s.cfg.seed, uint64(version))
-}
-
-// rebuildUtility reconstructs the utility (and cache) for the state's
-// training set — construction-time only: updates derive the successor
-// utility with Append/Remove so the distance kernel is extended or masked
-// rather than recomputed.
-func rebuildUtility(s *Session, st *sessionState) {
-	if st.util != nil {
-		st.pastFits += st.util.Fits()
-		st.pastPrefixAdds += st.util.PrefixAdds()
-	}
-	st.util = utility.NewModelUtility(st.train, s.test, s.trainer, s.utilOptions()...)
-	st.cache = game.NewCached(st.util)
 }
 
 // buildExact constructs the closed-form exact k-NN estimator when the
@@ -414,8 +407,8 @@ func (s *Session) buildExact(st *sessionState) *exact.Estimator {
 	if !ok {
 		return nil
 	}
-	trainLabels := make([]int, st.train.Len())
-	for i, p := range st.train.Points {
+	trainLabels := make([]int, st.train().Len())
+	for i, p := range st.train().Points {
 		trainLabels[i] = p.Y
 	}
 	testLabels := make([]int, s.test.Len())
@@ -482,7 +475,7 @@ func (s *Session) gameFor(st *sessionState, u *utility.ModelUtility) game.Game {
 }
 
 // N returns the number of training points currently under valuation.
-func (s *Session) N() int { return s.state.Load().train.Len() }
+func (s *Session) N() int { return s.state.Load().train().Len() }
 
 // Version returns the current state version: 0 at creation (or at the
 // base of a resumed snapshot), incremented by every successful Init, Add,
@@ -491,7 +484,7 @@ func (s *Session) Version() int { return s.state.Load().version }
 
 // Data returns a copy of the training points currently under valuation,
 // index-aligned with Values.
-func (s *Session) Data() *Dataset { return s.state.Load().train.Clone() }
+func (s *Session) Data() *Dataset { return s.state.Load().train().Clone() }
 
 // Values returns a copy of the current Shapley estimates, or nil before
 // Init.
@@ -669,8 +662,8 @@ func (s *Session) initLocked(op string) error {
 			PrefixAdds: st.totalPrefixAdds() - startPrefix,
 			Seconds:    time.Since(begin).Seconds(),
 			Decision: []string{
-				fmt.Sprintf("exact k-NN estimator available (soft utility + distance kernel): closed-form values for all %d points; sampled pass of τ=%d skipped", st.train.Len(), s.cfg.tau),
-				fmt.Sprintf("chose %s (%s): closed-form sorted-neighbour recurrence (Jia et al.) with zero model trainings", AlgoExactKNN, core.ExactKNNCost(st.train.Len(), s.test.Len(), 0)),
+				fmt.Sprintf("exact k-NN estimator available (soft utility + distance kernel): closed-form values for all %d points; sampled pass of τ=%d skipped", st.train().Len(), s.cfg.tau),
+				fmt.Sprintf("chose %s (%s): closed-form sorted-neighbour recurrence (Jia et al.) with zero model trainings", AlgoExactKNN, core.ExactKNNCost(st.train().Len(), s.test.Len(), 0)),
 			},
 		})
 		return nil
@@ -698,7 +691,7 @@ func (s *Session) initLocked(op string) error {
 	if s.cfg.truncation > 0 {
 		initTrace = append(initTrace, fmt.Sprintf(
 			"stratified-truncated sampling: walks stop at t=%d of n=%d positions, rotation-block stratified (arXiv 2311.05346)",
-			s.cfg.truncation, st.train.Len()))
+			s.cfg.truncation, st.train().Len()))
 	}
 	res, err := s.engine.Initialize(s.gameOf(st), s.cfg.tau, core.InitOptions{
 		KeepPerms:      s.cfg.keepPerms,
@@ -735,7 +728,7 @@ func (s *Session) planUpdate(st *sessionState, op plan.Op, count int, indices []
 	dec := plan.Plan(
 		plan.Request{Op: op, Count: count, Indices: indices, Coalesced: coalesced},
 		plan.Artifacts{
-			N:           st.train.Len(),
+			N:           st.train().Len(),
 			ExactKNN:    st.exact != nil,
 			TestPoints:  s.test.Len(),
 			StoresFresh: st.storesFresh,
@@ -864,12 +857,12 @@ func (s *Session) addJournaled(points []Point, algo Algorithm, coalesced bool) (
 			s.applyAppend(st, points)
 		}
 	case AlgoKNN:
-		st.sv, err = core.KNNAdd(st.sv, st.train, points, s.cfg.knnK)
+		st.sv, err = core.KNNAdd(st.sv, st.train(), points, s.cfg.knnK)
 		if err == nil {
 			s.applyAppend(st, points)
 		}
 	case AlgoKNNPlus:
-		st.sv, err = core.KNNPlusAdd(s.gameOf(st), st.train, st.sv, points, nil, s.knnPlusCfg(), r.Split())
+		st.sv, err = core.KNNPlusAdd(s.gameOf(st), st.train(), st.sv, points, nil, s.knnPlusCfg(), r.Split())
 		if err == nil {
 			s.applyAppend(st, points)
 		}
@@ -945,7 +938,6 @@ func (s *Session) knnPlusCfg() core.KNNPlusConfig {
 // applyAppend extends the state's training set and utility without
 // touching sv.
 func (s *Session) applyAppend(st *sessionState, points []Point) {
-	st.train = st.train.Append(points...)
 	st.pastFits += st.util.Fits()
 	st.pastPrefixAdds += st.util.PrefixAdds()
 	st.util = st.util.Append(points...)
@@ -958,7 +950,7 @@ func (s *Session) applyAppend(st *sessionState, points []Point) {
 }
 
 // maintainExactAppend folds an update's appended points, the last
-// len(points) of st.train, into the state's exact estimator in one Add:
+// len(points) of the training set, into the state's exact estimator in one Add:
 // each test column binary-inserts them and recomputes only the affected
 // rank suffix. The maintained state equals a from-scratch build after any
 // sequence of folds, so one fold per update leaves the same orders and t
@@ -973,7 +965,7 @@ func (s *Session) maintainExactAppend(st *sessionState, points []Point) {
 	for i, p := range points {
 		labels[i] = p.Y
 	}
-	st.exact.Add(kernel, st.train.Len()-len(points), labels)
+	st.exact.Add(kernel, st.train().Len()-len(points), labels)
 }
 
 func (s *Session) addRecompute(st *sessionState, points []Point, algo Algorithm, r *rng.Source, ops *opMetrics) error {
@@ -1020,7 +1012,6 @@ func (s *Session) addPivotDifferent(st *sessionState, points []Point, r *rng.Sou
 
 // applyAppendBuilt installs an already-built utility for the added points.
 func (s *Session) applyAppendBuilt(st *sessionState, uPlus *utility.ModelUtility, points ...Point) {
-	st.train = st.train.Append(points...)
 	st.pastFits += st.util.Fits()
 	st.pastPrefixAdds += st.util.PrefixAdds()
 	st.util = uPlus
@@ -1146,7 +1137,7 @@ func (s *Session) deleteJournaled(indices []int, algo Algorithm, coalesced bool)
 	if len(indices) == 0 {
 		return append([]float64(nil), cur.sv...), journal.Update{}, nil
 	}
-	n := cur.train.Len()
+	n := cur.train().Len()
 	seen := make(map[int]bool, len(indices))
 	for _, p := range indices {
 		if p < 0 || p >= n {
@@ -1196,9 +1187,9 @@ func (s *Session) deleteJournaled(indices []int, algo Algorithm, coalesced bool)
 	case AlgoPivotSameBatch:
 		expanded, err = s.deletePivotBatch(st, indices, &ops)
 	case AlgoKNN:
-		expanded, err = core.KNNDelete(st.sv, st.train, indices, s.cfg.knnK)
+		expanded, err = core.KNNDelete(st.sv, st.train(), indices, s.cfg.knnK)
 	case AlgoKNNPlus:
-		expanded, err = core.KNNPlusDelete(s.gameOf(st), st.train, st.sv, indices, nil, s.knnPlusCfg(), r.Split())
+		expanded, err = core.KNNPlusDelete(s.gameOf(st), st.train(), st.sv, indices, nil, s.knnPlusCfg(), r.Split())
 	case AlgoMonteCarlo, AlgoTruncatedMC:
 		restricted := game.NewRestrict(s.gameOf(st), indices...)
 		var sub []float64
@@ -1280,7 +1271,6 @@ func (s *Session) deleteJournaled(indices []int, algo Algorithm, coalesced bool)
 	}
 	// Commit point: nothing below fails, so the estimator the successor
 	// took over changes only now, in deriveRemove.
-	st.train = st.train.Remove(indices...)
 	s.deriveRemove(st, indices) // indices shifted: the old cache keys are invalid
 	if expanded == nil {
 		// Exact path: the estimator's reduction IS the survivors' values,
@@ -1364,13 +1354,13 @@ func (s *Session) deleteDelta(st *sessionState, indices []int, r *rng.Source, op
 			if h < len(st.heads) {
 				curHeads[h] = append([]float64(nil), st.heads[h]...)
 			} else {
-				curHeads[h] = make([]float64, st.train.Len())
+				curHeads[h] = make([]float64, st.train().Len())
 			}
 		}
 	}
 	g := s.gameOf(st)
 	// alive maps restricted index -> original index.
-	alive := make([]int, st.train.Len())
+	alive := make([]int, st.train().Len())
 	for i := range alive {
 		alive[i] = i
 	}
@@ -1411,7 +1401,7 @@ func (s *Session) deleteDelta(st *sessionState, indices []int, r *rng.Source, op
 		}
 		rg = game.NewRestrict(g, removed...)
 	}
-	expanded := make([]float64, st.train.Len())
+	expanded := make([]float64, st.train().Len())
 	for i, orig := range alive {
 		expanded[orig] = cur[i]
 	}
@@ -1419,7 +1409,7 @@ func (s *Session) deleteDelta(st *sessionState, indices []int, r *rng.Source, op
 	if curHeads != nil {
 		headsExp = make([][]float64, len(curHeads))
 		for h, hs := range curHeads {
-			headsExp[h] = make([]float64, st.train.Len())
+			headsExp[h] = make([]float64, st.train().Len())
 			for i, orig := range alive {
 				headsExp[h][orig] = hs[i]
 			}
@@ -1464,7 +1454,7 @@ func (s *Session) deletePivotBatch(st *sessionState, indices []int, ops *opMetri
 	// Expand the survivors' values back to the pre-delete numbering (zeros
 	// at the removed slots) so the shared compaction below the switch
 	// applies uniformly.
-	expanded := make([]float64, st.train.Len())
+	expanded := make([]float64, st.train().Len())
 	for ri, orig := range rg.Keep() {
 		expanded[orig] = sv[ri]
 	}

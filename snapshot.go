@@ -156,7 +156,7 @@ func (sc *SnapshotConfig) apply(cfg *config) {
 // the latest published version, even while an update is in flight.
 func (s *Session) Snapshot() *Snapshot {
 	st := s.state.Load()
-	train := st.train.Clone()
+	train := st.train().Clone()
 	test := s.test.Clone()
 	// publish journals an update before it stores the state, so a write
 	// landing after the load above may already be in the journal: keep

@@ -649,3 +649,164 @@ func TestSnapshotMatchesItsVersionUnderWrites(t *testing.T) {
 	default:
 	}
 }
+
+// publishedRead is one reader's look at a published version: Data() and
+// Values() as the public API returns them, and the version's own training
+// set, which the state shares with its utility instead of copying it.
+type publishedRead struct {
+	version int
+	data    *Dataset
+	values  []float64
+	shared  *Dataset
+}
+
+// readPublished reads Data() and Values() from one published version; ok
+// is false when a write landed between the reads.
+func readPublished(s *Session) (r publishedRead, ok bool) {
+	before := s.View()
+	data := s.Data()
+	if s.View().Version() != before.Version() {
+		return publishedRead{}, false
+	}
+	return publishedRead{before.Version(), data, before.Values(), before.st.train()}, true
+}
+
+func sameDataset(a, b *Dataset) bool {
+	if a.Classes != b.Classes || a.Len() != b.Len() {
+		return false
+	}
+	for i, p := range a.Points {
+		if p.Y != b.Points[i].Y || !slices.Equal(p.X, b.Points[i].X) {
+			return false
+		}
+	}
+	return true
+}
+
+// A version's training set is shared by its state and its utility, and
+// each write derives the successor's from it. Readers racing writes on
+// every algorithm family must still see each version as it was
+// published: Data() and Values() equal to what the writer saw right after
+// that version's write, and the shared training set unchanged by every
+// later write.
+func TestPublishedTrainingSetsStayPutUnderWrites(t *testing.T) {
+	extra := IrisLike(16, 99)
+	extra.Standardize()
+	pts := extra.Points
+	type write struct {
+		algo    Algorithm
+		add     []Point
+		indices []int
+	}
+	hard := func(opts ...Option) *Session {
+		return newTestSession(t, 12, append([]Option{WithUpdateSamples(20)}, opts...)...)
+	}
+	soft := func() *Session {
+		train, test := fixture(t, 12)
+		return NewSession(train, test, SoftKNNClassifier{K: 3}, WithSeed(5))
+	}
+	for _, tc := range []struct {
+		name   string
+		s      *Session
+		writes []write
+	}{
+		{"pivot", hard(WithKeepPermutations()), []write{
+			{algo: AlgoPivotSame, add: pts[0:1]},
+			{algo: AlgoPivotSameBatch, add: pts[1:3]},
+			{algo: AlgoPivotSameBatch, indices: []int{1, 2}},
+			{algo: AlgoPivotDifferent, add: pts[3:4]},
+		}},
+		{"sampled", hard(), []write{
+			{algo: AlgoDelta, add: pts[4:5]},
+			{algo: AlgoDeltaBatch, add: pts[5:7]},
+			{algo: AlgoBase, add: pts[7:8]},
+			{algo: AlgoMonteCarlo, add: pts[8:9]},
+			{algo: AlgoTruncatedMC, add: pts[9:10]},
+			{algo: AlgoDelta, indices: []int{0}},
+			{algo: AlgoDeltaBatch, indices: []int{1, 2}},
+			{algo: AlgoMonteCarlo, indices: []int{3}},
+			{algo: AlgoTruncatedMC, indices: []int{4}},
+		}},
+		{"heuristic", hard(), []write{
+			{algo: AlgoKNN, add: pts[10:11]},
+			{algo: AlgoKNNPlus, add: pts[11:12]},
+			{algo: AlgoKNN, indices: []int{0}},
+			{algo: AlgoKNNPlus, indices: []int{1}},
+		}},
+		{"ynnn", hard(WithTrackDeletions()), []write{
+			{algo: AlgoYNNN, indices: []int{3}},
+		}},
+		{"exact", soft(), []write{
+			{algo: AlgoExactKNN, add: pts[12:14]},
+			{algo: AlgoExactKNN, indices: []int{0, 5}},
+			{algo: AlgoExactKNN, add: pts[14:15]},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.s
+			if err := s.Init(); err != nil {
+				t.Fatal(err)
+			}
+			want := map[int]publishedRead{}
+			record := func() {
+				v := s.View()
+				want[v.Version()] = publishedRead{version: v.Version(), data: s.Data(), values: v.Values()}
+			}
+			record()
+
+			var done atomic.Bool
+			var wg sync.WaitGroup
+			seen := make([]map[int]publishedRead, 2)
+			for i := range seen {
+				seen[i] = map[int]publishedRead{}
+				wg.Add(1)
+				go func(seen map[int]publishedRead) {
+					defer wg.Done()
+					for !done.Load() {
+						r, ok := readPublished(s)
+						if !ok {
+							continue
+						}
+						first, ok := seen[r.version]
+						if !ok {
+							seen[r.version] = r
+						} else if !sameDataset(r.data, first.data) || !slices.Equal(r.values, first.values) {
+							t.Errorf("version %d read two ways", r.version)
+							return
+						}
+					}
+				}(seen[i])
+			}
+			func() {
+				defer wg.Wait()
+				defer done.Store(true)
+				for _, w := range tc.writes {
+					var err error
+					if w.add != nil {
+						_, err = s.Add(w.add, w.algo)
+					} else {
+						_, err = s.Delete(w.indices, w.algo)
+					}
+					if err != nil {
+						t.Fatalf("%v write: %v", w.algo, err)
+					}
+					record()
+				}
+			}()
+			if len(want) != len(tc.writes)+1 {
+				t.Fatalf("%d versions recorded for %d writes", len(want), len(tc.writes))
+			}
+			for _, reads := range seen {
+				for v, r := range reads {
+					w := want[v]
+					if !sameDataset(r.data, w.data) || !slices.Equal(r.values, w.values) {
+						t.Errorf("version %d: a concurrent read differs from the published version", v)
+					}
+					if !sameDataset(r.shared, w.data) {
+						t.Errorf("version %d: its training set changed after publication", v)
+					}
+				}
+			}
+		})
+	}
+}
