@@ -62,8 +62,8 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzKNNWalkRoutes -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzExactKNNEquality -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzSemivalueHeadEquality -fuzztime 10s .
-	$(GO) test -run '^$$' -fuzz FuzzBatchSequentialEquality -fuzztime 10s .
-	$(GO) test -run '^$$' -fuzz FuzzBatchDeleteSequentialEquality -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz FuzzBatchSequentialEquality -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzBatchDeleteSequentialEquality -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzStoreBackendEquality -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 10s ./internal/dataset/
 

@@ -153,7 +153,9 @@ const (
 	// WithKeepPermutations).
 	AlgoPivotSame
 	// AlgoPivotDifferent is the pivot-based algorithm with fresh
-	// permutations (Algorithm 4; additions only).
+	// permutations (Algorithm 4; additions only). It keeps none of its
+	// fresh draws and drops the stored permutations, so AlgoPivotSame and
+	// AlgoPivotSameBatch need a Refresh after it.
 	AlgoPivotDifferent
 	// AlgoDelta estimates value changes from differential marginal
 	// contributions (Algorithm 5 for additions, 8 for deletions).
@@ -296,9 +298,13 @@ type (
 
 // NewPivotState runs Algorithm 2 over g: Monte Carlo Shapley estimation
 // that simultaneously accumulates the LSV needed by the pivot-based
-// addition algorithms. keepPerms enables AddSame (Pivot-s).
+// addition algorithms. keepPerms keeps the sampled permutations, which
+// Pivot-s (Algorithm 3) reuses.
 func NewPivotState(g Game, tau int, keepPerms bool, seed uint64) *PivotState {
-	return core.PivotInit(g, tau, keepPerms, rng.New(seed))
+	// Initialize fails only on truncation or a deletion store, and this
+	// one-worker engine requests neither.
+	res, _ := core.NewEngine(core.WithWorkers(1)).Initialize(g, tau, core.InitOptions{KeepPerms: keepPerms}, rng.New(seed))
+	return res.Pivot
 }
 
 // PreprocessDeletion runs Algorithm 6 over g: Monte Carlo Shapley
@@ -306,13 +312,13 @@ func NewPivotState(g Game, tau int, keepPerms bool, seed uint64) *PivotState {
 // Merge(p) later recovers post-deletion values with zero additional
 // utility evaluations.
 func PreprocessDeletion(g Game, tau int, seed uint64) *DeletionArrays {
-	return core.PreprocessDeletion(g, tau, rng.New(seed))
+	return PreprocessDeletionParallel(g, tau, 1, seed)
 }
 
 // PreprocessMultiDeletion fills the YNN-NNN arrays for deleting exactly d
 // of the candidate players at once (Lemma 4).
 func PreprocessMultiDeletion(g Game, d int, candidates []int, tau int, seed uint64) (*MultiDeletionArrays, error) {
-	return core.PreprocessMultiDeletion(g, d, candidates, tau, rng.New(seed))
+	return PreprocessMultiDeletionParallel(g, d, candidates, tau, 1, seed)
 }
 
 // EngineStats describes a permutation-engine pass: permutations issued
@@ -334,8 +340,8 @@ type JournalState = journal.State
 // over as many stripe workers (≤0 selects GOMAXPROCS). One producer draws
 // the permutations and folds the walked prefix utilities in order; each
 // stripe worker owns a contiguous block of the arrays' player rows, so the
-// result is bit-identical to the serial fill for the same seed at every
-// worker count.
+// result is bit-identical to PreprocessDeletion's for the same seed at
+// every worker count.
 func PreprocessDeletionParallel(g Game, tau, workers int, seed uint64) *DeletionArrays {
 	e := core.NewEngine(core.WithWorkers(workers))
 	return e.PreprocessDeletion(g, tau, rng.New(seed))
@@ -343,8 +349,8 @@ func PreprocessDeletionParallel(g Game, tau, workers int, seed uint64) *Deletion
 
 // PreprocessMultiDeletionParallel is PreprocessMultiDeletion with the
 // permutations walked by workers goroutines and the YNN-NNN fill striped
-// over as many stripe workers; bit-identical to the serial fill for the
-// same seed.
+// over as many stripe workers; bit-identical to PreprocessMultiDeletion's
+// for the same seed.
 func PreprocessMultiDeletionParallel(g Game, d int, candidates []int, tau, workers int, seed uint64) (*MultiDeletionArrays, error) {
 	e := core.NewEngine(core.WithWorkers(workers))
 	return e.PreprocessMultiDeletion(g, d, candidates, tau, rng.New(seed))
@@ -471,9 +477,21 @@ func ExactSemivalue(g Game, sv Semivalue) []float64 { return core.ExactSemivalue
 // pass of tau walks: each head folds the same sampled marginals with its
 // own position weights, so the incremental cost per extra head is
 // bookkeeping, not utility evaluations. The Shapley head (if present) is
-// bit-identical to MonteCarloShapley at the same seed.
+// the plain Monte Carlo estimate of those walks, bit for bit; the walks
+// are drawn from rng.NewStream(seed, 0), as MonteCarloBanzhaf's are, so
+// they are not MonteCarloShapley's at the same seed.
 func MonteCarloSemivalues(g Game, svs []Semivalue, tau int, seed uint64) [][]float64 {
-	return core.MonteCarloSemivalues(g, svs, tau, rng.NewStream(seed, 0))
+	n := g.N()
+	if n == 0 || tau <= 0 || len(svs) == 0 {
+		out := make([][]float64, len(svs))
+		for h := range out {
+			out[h] = make([]float64, n)
+		}
+		return out
+	}
+	e := core.NewEngine(core.WithWorkers(1), core.WithSemivalues(svs...))
+	e.MonteCarlo(g, tau, rng.NewStream(seed, 0))
+	return e.HeadValues()
 }
 
 // ExactBanzhaf returns exact Banzhaf values by complete enumeration
@@ -488,7 +506,7 @@ func ExactBanzhaf(g Game) []float64 { return core.ExactBanzhaf(g) }
 // every session estimator uses, so results are reproducible under journal
 // replay.
 func MonteCarloBanzhaf(g Game, tau int, seed uint64) []float64 {
-	return core.MonteCarloBanzhaf(g, tau, rng.NewStream(seed, 0))
+	return MonteCarloSemivalues(g, []Semivalue{Banzhaf()}, tau, seed)[0]
 }
 
 // ShapleyShubik returns the exact power indices of a weighted voting game

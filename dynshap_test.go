@@ -278,6 +278,50 @@ func TestBanzhafFacade(t *testing.T) {
 	if m := dynshap.MSE(mc, exact); m > 1e-3 {
 		t.Fatalf("MC Banzhaf MSE = %v", m)
 	}
+	if got := dynshap.MonteCarloBanzhaf(g, 0, 9); len(got) != 3 || got[0] != 0 || got[1] != 0 || got[2] != 0 {
+		t.Fatalf("τ = 0 MC Banzhaf = %v, want three zeros", got)
+	}
+}
+
+// TestMonteCarloSemivaluesFacade checks the multi-head pass's shape and
+// its heads' independence: each head of a multi-head pass equals the
+// same head priced alone at the same seed, bit for bit, and degenerate
+// calls return one zeroed slice per head.
+func TestMonteCarloSemivaluesFacade(t *testing.T) {
+	g := gloveGame()
+	heads := []dynshap.Semivalue{dynshap.Shapley(), dynshap.Banzhaf(), dynshap.Beta(4, 1)}
+	all := dynshap.MonteCarloSemivalues(g, heads, 500, 3)
+	if len(all) != len(heads) {
+		t.Fatalf("%d heads priced, want %d", len(all), len(heads))
+	}
+	for h, w := range heads {
+		alone := dynshap.MonteCarloSemivalues(g, []dynshap.Semivalue{w}, 500, 3)[0]
+		for i := range alone {
+			if all[h][i] != alone[i] {
+				t.Fatalf("head %v: multi-head value %d is %v, alone %v", w, i, all[h][i], alone[i])
+			}
+		}
+	}
+	for _, c := range []struct {
+		g   dynshap.Game
+		tau int
+		ws  []dynshap.Semivalue
+	}{{g, 0, heads}, {dynshap.GameFunc{}, 10, heads}, {g, 10, nil}} {
+		out := dynshap.MonteCarloSemivalues(c.g, c.ws, c.tau, 3)
+		if len(out) != len(c.ws) {
+			t.Fatalf("degenerate call priced %d heads, want %d", len(out), len(c.ws))
+		}
+		for _, vals := range out {
+			if len(vals) != c.g.N() {
+				t.Fatalf("degenerate head has %d values, want %d", len(vals), c.g.N())
+			}
+			for _, v := range vals {
+				if v != 0 {
+					t.Fatalf("degenerate head holds %v, want zeros", vals)
+				}
+			}
+		}
+	}
 }
 
 func TestAntitheticFacade(t *testing.T) {

@@ -336,7 +336,10 @@ func TestExactKNNSnapshotReplay(t *testing.T) {
 // TestExactKNNOracle uses the closed form as ground truth for the sampled
 // estimators, with the tolerance tied to WithTargetError: an adaptive MC
 // initialisation certified to ε must actually land within ε of the exact
-// values, and TMC / Delta updates must stay within the same order.
+// values, and TMC / Delta updates must stay within the same order. One arm
+// drops the distance kernel; the other keeps it, so the Pivot-s,
+// Pivot-s-batch, Delta, Delta-batch and TMC updates are checked on the
+// fused kernel walks too.
 func TestExactKNNOracle(t *testing.T) {
 	train, test := softPool(100, 40, 17)
 	const (
@@ -381,6 +384,61 @@ func TestExactKNNOracle(t *testing.T) {
 	}
 	if maxErr := maxAbsDiff(got, truth); maxErr > 3*eps {
 		t.Fatalf("TMC recompute strayed %.4f from the exact values, tolerance %g", maxErr, 3*eps)
+	}
+
+	// Kernel-on arm: the same budget with stored permutations, which force
+	// a sampled initialisation with the distance kernel on, so every update
+	// below runs the fused kernel walks. Each stage is checked against the
+	// closed form on the session's current data.
+	sk := dynshap.NewSession(train, test, dynshap.SoftKNNClassifier{K: k},
+		dynshap.WithSeed(7), dynshap.WithKeepPermutations(),
+		dynshap.WithSamples(4000), dynshap.WithTargetError(eps, 0.05))
+	if err := sk.Init(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string, got []float64, tol float64) {
+		t.Helper()
+		want, err := dynshap.KNNShapley(sk.Data(), test, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxErr := maxAbsDiff(got, want)
+		t.Logf("kernel on, %s: max |error| %.4f", stage, maxErr)
+		if len(got) != len(want) || maxErr > tol {
+			t.Fatalf("kernel on, %s strayed %.4f from the exact values (%d values, want %d), tolerance %g",
+				stage, maxErr, len(got), len(want), tol)
+		}
+	}
+	check("certified MC init", sk.Values(), eps)
+	steps := []struct {
+		stage string
+		run   func() ([]float64, error)
+	}{
+		{"Pivot-s add", func() ([]float64, error) {
+			return sk.Add([]dynshap.Point{test.Points[1].Clone()}, dynshap.AlgoPivotSame)
+		}},
+		{"two-point Pivot-s-batch add", func() ([]float64, error) {
+			return sk.Add([]dynshap.Point{test.Points[2].Clone(), test.Points[3].Clone()}, dynshap.AlgoPivotSameBatch)
+		}},
+		{"Pivot-s-batch delete", func() ([]float64, error) {
+			return sk.Delete([]int{4, 60}, dynshap.AlgoPivotSameBatch)
+		}},
+		{"Delta add", func() ([]float64, error) {
+			return sk.Add([]dynshap.Point{test.Points[4].Clone()}, dynshap.AlgoDelta)
+		}},
+		{"Delta-batch delete", func() ([]float64, error) {
+			return sk.Delete([]int{10, 30}, dynshap.AlgoDeltaBatch)
+		}},
+		{"TMC recompute", func() ([]float64, error) {
+			return sk.Delete([]int{20}, dynshap.AlgoTruncatedMC)
+		}},
+	}
+	for _, step := range steps {
+		got, err := step.run()
+		if err != nil {
+			t.Fatalf("%s: %v", step.stage, err)
+		}
+		check(step.stage, got, 3*eps)
 	}
 }
 

@@ -19,7 +19,7 @@
 // of (operation, inputs) is recorded in the session journal, so any run is
 // bit-identically reproducible by replaying its journal. For the
 // stored-permutation path the guarantee is stronger: BatchAddSame is
-// bit-identical to per-point AddSame in admitted order, so the final state
+// bit-identical to single-point Pivot-s in admitted order, so the final state
 // does not depend on where the window boundaries fell at all.
 //
 // Deletes coalesce too: consecutive delete submissions share a delete

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dynshap/internal/game"
-	"dynshap/internal/rng"
 )
 
 // The Banzhaf value is the other classical semivalue: instead of averaging
@@ -18,8 +17,9 @@ import (
 // Both estimators are heads of the semivalue layer: exact enumeration
 // folds the utility table with the Banzhaf subset weight 2^{1−n}
 // (a power of two, so the fold is bit-identical to the historic
-// divide-by-2^{n−1} loop), and the Monte Carlo estimator is a permutation
-// pass re-weighted with the Banzhaf position coefficients
+// divide-by-2^{n−1} loop), and the Monte Carlo estimator is
+// Engine.MonteCarlo with a Banzhaf head (WithSemivalues): the walks are
+// re-weighted with the Banzhaf position coefficients
 // ω(pos) = n·C(n−1,pos)/2^{n−1} — the same walks that price Shapley, so a
 // multi-head pass gets Banzhaf for free.
 
@@ -34,18 +34,4 @@ func ExactBanzhaf(g game.Game) []float64 {
 		return nil
 	}
 	return ExactSemivalue(g, semivalueBanzhaf)
-}
-
-// MonteCarloBanzhaf approximates Banzhaf values by permutation sampling
-// through the semivalue layer: each of the τ walks re-weights its observed
-// marginals with the Banzhaf position coefficients. Historically this
-// estimator drew one independent coalition per player per sample; the
-// permutation form observes all n players per walk from the same samples
-// Shapley uses, which is what lets one pass price both.
-func MonteCarloBanzhaf(g game.Game, tau int, r *rng.Source) []float64 {
-	n := g.N()
-	if n == 0 || tau <= 0 {
-		return make([]float64, n)
-	}
-	return MonteCarloSemivalues(g, banzhafHead, tau, r)[0]
 }

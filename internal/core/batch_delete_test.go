@@ -97,7 +97,7 @@ func TestBatchDeltaDeleteEveryPlayer(t *testing.T) {
 func deletePivotFixture(t *testing.T, n int, points []int) (*PivotState, game.Game, game.Game, game.Game) {
 	t.Helper()
 	u, _ := knnPair(t, n)
-	st := PivotInit(u, 25, true, rng.New(3))
+	st := pivotInit(u, 25, true, rng.New(3))
 	rg := game.NewRestrict(u, points...)
 	return st, u, rg, game.Func{Players: rg.N(), U: rg.Value}
 }
@@ -170,7 +170,7 @@ func TestBatchDeleteSameK1MatchesDeleteSame(t *testing.T) {
 func TestDeleteSameThenAddSame(t *testing.T) {
 	const n = 10
 	u, _ := knnPair(t, n)
-	st := PivotInit(u, 20, true, rng.New(7))
+	st := pivotInit(u, 20, true, rng.New(7))
 
 	rg := game.NewRestrict(u, 3)
 	if _, err := st.DeleteSame(rg, 3); err != nil {
@@ -227,7 +227,7 @@ func TestBatchDeleteErrors(t *testing.T) {
 		t.Fatal("BatchDeltaDeleteSeq accepted tau=0")
 	}
 
-	st := PivotInit(u, 5, true, rng.New(2))
+	st := pivotInit(u, 5, true, rng.New(2))
 	rg := game.NewRestrict(u, 1, 2)
 	if _, err := e.BatchDeleteSame(st.Clone(), u, []int{1, 2}); err == nil {
 		t.Fatal("BatchDeleteSame accepted a mis-sized game")
@@ -236,7 +236,7 @@ func TestBatchDeleteErrors(t *testing.T) {
 	if _, err := e.BatchDeleteSame(st.Clone(), rg, all); err == nil {
 		t.Fatal("BatchDeleteSame accepted removing every player")
 	}
-	noPerms := PivotInit(u, 5, false, rng.New(2))
+	noPerms := pivotInit(u, 5, false, rng.New(2))
 	if _, err := e.BatchDeleteSame(noPerms, rg, []int{1, 2}); err != ErrNoPermutations {
 		t.Fatalf("BatchDeleteSame without permutations: %v, want ErrNoPermutations", err)
 	}

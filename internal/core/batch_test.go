@@ -111,7 +111,7 @@ func TestBatchDeltaAddK1MatchesDeltaAdd(t *testing.T) {
 func pivotFixture(t *testing.T, n, k int) (*PivotState, *utility.ModelUtility, game.Game) {
 	t.Helper()
 	u, _ := knnPair(t, n)
-	st := PivotInit(u, 25, true, rng.New(3))
+	st := pivotInit(u, 25, true, rng.New(3))
 	uPlus := u.Append(batchPoints(u, k)...)
 	return st, uPlus, game.Func{Players: n + k, U: uPlus.Value}
 }
@@ -241,7 +241,7 @@ func TestBatchAddErrors(t *testing.T) {
 	if _, err := e.BatchAddSame(st.Clone(), uPlusP, k+1, splitSources(1, k+1)); err == nil {
 		t.Fatal("BatchAddSame accepted a mis-sized game")
 	}
-	noPerms := PivotInit(game.Func{Players: n, U: uPlusP.Value}, 5, false, rng.New(2))
+	noPerms := pivotInit(game.Func{Players: n, U: uPlusP.Value}, 5, false, rng.New(2))
 	if _, err := e.BatchAddSame(noPerms, uPlusP, k, splitSources(1, k)); err != ErrNoPermutations {
 		t.Fatalf("BatchAddSame without permutations: %v, want ErrNoPermutations", err)
 	}

@@ -145,7 +145,7 @@ func BatchDeltaDeleteCost(n, k, tau int) Cost {
 // DeleteSameBatchCost is the cost of the batched pivot deletion of k
 // points (BatchDeleteSame): the permutations evolve through all k
 // removals for free (integer bookkeeping) and pay ONE full walk of the
-// final (n−k)-length permutations — versus k sequential DeleteSame calls'
+// final (n−k)-length permutations — versus k single-point deletions'
 // Σ_j τ·(n−j−1), a genuine ~k× evaluation saving. The artifact it
 // preserves (stored permutations through the removal) is the other half
 // of its value: the next addition can still run Pivot-s.

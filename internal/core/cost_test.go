@@ -64,7 +64,7 @@ func TestUpdateCostOrdering(t *testing.T) {
 	if PivotAddDifferentCost(n, tau).Evaluations >= MonteCarloCost(n+1, tau).Evaluations {
 		t.Fatal("pivot suffix replay should undercut a full MC pass")
 	}
-	st := PivotInit(costGame(10), 50, true, rng.New(1))
+	st := pivotInit(costGame(10), 50, true, rng.New(1))
 	if c := st.AddSameCost(); c.Evaluations <= 0 {
 		t.Fatalf("AddSameCost = %+v", c)
 	}

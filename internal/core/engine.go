@@ -630,7 +630,7 @@ type fillRun struct {
 	// same walks (after perPerm, consuming no randomness).
 	heads []semivalue.Weighting
 	// pivotSlots draws a pivot slot, uniform on 0..n, into s.slot after
-	// each permutation, the order in which the free Initialize draws.
+	// each permutation, the order in which Algorithm 2 draws.
 	pivotSlots bool
 	// perPerm folds one walked permutation into the pass's own sums
 	// (Shapley sums, pivot LSV, kept permutations). Only s.row[:s.walk] is
@@ -700,8 +700,9 @@ func (e *Engine) run(fr fillRun) int {
 
 // PreprocessDeletion is Algorithm 6 through the engine: the Monte Carlo
 // fill of the YN-NN arrays with stripe-parallel accumulation and, when
-// configured, adaptive early termination. Bit-identical to the serial
-// PreprocessDeletion for a fixed seed at every worker count.
+// configured, adaptive early termination. Bit-identical to the sequential
+// fill (the package tests' reference) for a fixed seed at every worker
+// count.
 func (e *Engine) PreprocessDeletion(g game.Game, tau int, r *rng.Source) *DeletionStore {
 	ds, _ := e.PreprocessDeletionWith(g, tau, r, StoreConfig{})
 	return ds
@@ -765,10 +766,15 @@ func (e *Engine) PreprocessMultiDeletionWith(g game.Game, d int, candidates []in
 }
 
 // Initialize is the combined initialisation pass (Shapley estimates,
-// pivot LSV, and any requested deletion stores) through the engine:
-// identical sampling to the package-level Initialize, with the walks spread
-// over the workers, the store fills striped across them, and optional
-// adaptive early termination.
+// pivot LSV, and any requested deletion stores) through the engine: one
+// Monte Carlo pass of τ permutations builds every requested structure from
+// the same samples — the Shapley estimates, the pivot state's LSV
+// (Algorithm 2) and the YN-NN / YNN-NNN arrays (Algorithm 6) — with the
+// walks spread over the workers, the store fills striped across them, and
+// optional adaptive early termination. Sharing the pass matters because
+// utility evaluations dominate the cost. Bit-identical to the sequential
+// pass (the package tests' reference) for a fixed seed at every worker
+// count.
 func (e *Engine) Initialize(g game.Game, tau int, opt InitOptions, r *rng.Source) (*InitResult, error) {
 	n := g.N()
 	if opt.KeepPerms && e.walkLen(n) < n {

@@ -43,8 +43,9 @@ import (
 // receives its floating-point additions in exactly the sequential
 // reference's order, and all randomness is consumed in the producer in the
 // reference's per-source order. Together that makes both passes
-// bit-identical to their batch.go references — and, for the pivot form, to
-// the per-point AddSame loop — at any worker count.
+// bit-identical to their sequential references (BatchDeltaAddSeq and
+// BatchAddSameSeq, in the package tests) — and, for the pivot form, to k
+// single-point passes in arrival order — at any worker count.
 //
 // A single-point update is the k = 1 case of either pass, and only the
 // delta form honours adaptive early termination (WithTargetError), there:
@@ -109,8 +110,9 @@ func zeroMat(dst *[][]float64, k, n int) [][]float64 {
 // k players are the pending points in arrival order, oldSV the n
 // pre-batch values. It returns n+k entries: every original player's value
 // adjusted by the k points' summed deltas (folded in arrival order), and
-// one fresh estimate per pending point. Bit-identical to BatchDeltaAddSeq
-// for the same seed at every worker count.
+// one fresh estimate per pending point. Bit-identical to its sequential
+// reference (BatchDeltaAddSeq, in the package tests) for the same seed at
+// every worker count.
 //
 // At k = 1 it is Algorithm 5, the single-point delta addition: instead of
 // re-estimating absolute Shapley values it estimates the *change* ∆SV_i of
@@ -184,8 +186,8 @@ func (e *Engine) BatchDeltaAdd(gPlus game.Game, oldSV []float64, k, tau int, r *
 	// chains' utilities read from the walked row. A zero difference — most
 	// of them under k-NN utilities — is skipped with its division: dj
 	// starts at +0, a sum that starts at +0 is never −0, and adding ±0
-	// leaves such a sum as it was, so the skip keeps every bit of
-	// BatchDeltaAddSeq's unconditional fold (NaN still folds).
+	// leaves such a sum as it was, so the skip keeps every bit of the
+	// sequential reference's unconditional fold (NaN still folds).
 	issued := e.walkDeltaRows(gPlus, players, pivots, uPivot, tau, workers, trk, r, func(perm []int, row []float64) {
 		for j := 0; j < k; j++ {
 			var hs *addHeadSums
@@ -356,13 +358,13 @@ func (c *chainRows) WalkNested(final, starts []int, row []float64) {
 // one row, in one walk of the base chain when the game offers the nested
 // walk; the fold adds each chain's marginals to point j's accumulators
 // rsv_j and dlsv_j (the latter up to the slot drawn for the next pivot).
-// st is mutated exactly as k successive AddSame calls would mutate it
-// (evolved permutations, final slots, folded SV/LSV); rs supplies one RNG
-// source per pending point in arrival order, each consumed once per stored
-// permutation — the same per-source order as the sequential loop.
-// Bit-identical to BatchAddSameSeq (and therefore to the per-point AddSame
-// loop) for the same sources at every worker count; requires a state built
-// with keepPerms.
+// st is mutated exactly as k successive single-point passes would mutate
+// it (evolved permutations, final slots, folded SV/LSV); rs supplies one
+// RNG source per pending point in arrival order, each consumed once per
+// stored permutation — the same per-source order as the sequential loop.
+// Bit-identical to its sequential reference (BatchAddSameSeq, in the
+// package tests) and so to k passes at k = 1, for the same sources at every
+// worker count; requires a state built with InitOptions.KeepPerms.
 func (e *Engine) BatchAddSame(st *PivotState, gPlus game.Game, k int, rs []*rng.Source) ([]float64, error) {
 	if st.perms == nil {
 		return nil, ErrNoPermutations
@@ -423,8 +425,8 @@ func (e *Engine) BatchAddSame(st *PivotState, gPlus game.Game, k int, rs []*rng.
 	e.finishPass(start, tau, nil)
 
 	// Fold the k points' contributions in arrival order — the exact
-	// SV/LSV recurrence k successive AddSame folds apply, with each step's
-	// lsv feeding the next step's reuse term.
+	// SV/LSV recurrence k successive single-point folds apply, with each
+	// step's lsv feeding the next step's reuse term.
 	sv := make([]float64, m)
 	lsv := make([]float64, m)
 	copy(lsv, st.LSV)
@@ -442,8 +444,8 @@ func (e *Engine) BatchAddSame(st *PivotState, gPlus game.Game, k int, rs []*rng.
 }
 
 // evolvePivotPerm threads stored permutation t through all k pivot
-// insertions into slot s — exactly what k successive AddSame iterations
-// over this permutation do — and installs the final permutation and slot
+// insertions into slot s — exactly what k successive single-point passes
+// do to this permutation — and installs the final permutation and slot
 // back into the state. Point j's evolved permutation lands at
 // s.perm[j·(n+k):], and s.cuts[j], s.cuts[k+j] record the slot it was
 // inserted at (where its suffix walk starts) and the slot drawn for the
@@ -466,4 +468,17 @@ func evolvePivotPerm(st *PivotState, t, n, k int, rs []*rng.Source, s *permSlot)
 	}
 	st.perms[t] = append(st.perms[t][:0], cur...)
 	st.slots[t] = tslot
+}
+
+// checkBatchAdd validates the common preconditions of the batched addition
+// walks: gPlus is the (n+k)-player updated game whose LAST k players are
+// the pending points, in arrival order.
+func checkBatchAdd(gPlus game.Game, n, k int) error {
+	if k < 1 {
+		return fmt.Errorf("core: batch add requires k ≥ 1 pending points, got %d", k)
+	}
+	if gPlus.N() != n+k {
+		return fmt.Errorf("core: batch add game has %d players, want %d", gPlus.N(), n+k)
+	}
+	return nil
 }

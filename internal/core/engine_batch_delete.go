@@ -24,8 +24,8 @@ import (
 //   - BatchDeleteSame evolves the stored permutations through all k
 //     removals first (pure integer bookkeeping, zero randomness, zero
 //     evaluations) and walks each FINAL permutation once in the final
-//     (n−k)-player game. k successive DeleteSame calls rebuild SV/LSV
-//     from scratch at every step, so the intermediate walks are dead
+//     (n−k)-player game. k successive single-point deletions rebuild
+//     SV/LSV from scratch at every step, so the intermediate walks are dead
 //     work — the batch skips them for a genuine k× evaluation saving
 //     while landing on bit-identical state: the final walk visits the
 //     same permutations in the same game either way.
@@ -50,8 +50,9 @@ import (
 // oldSV the n pre-batch values, points the departing indices in arrival
 // order. It returns n entries — every survivor's value adjusted by the k
 // points' summed (negated) deltas folded in arrival order, and 0 for each
-// removed player (the paper's convention). Bit-identical to
-// BatchDeltaDeleteSeq for the same seed at every worker count.
+// removed player (the paper's convention). Bit-identical to its
+// sequential reference (BatchDeltaDeleteSeq, in the package tests) for the
+// same seed at every worker count.
 //
 // At k = 1 it is Algorithm 8, the single-point delta deletion: each
 // survivor's value change is estimated from differential marginal
@@ -172,12 +173,14 @@ func observeDeltaDelete(trk *adaptiveTracker, hf *delHeadFold, perm []int, row [
 // every stored permutation through all k removals (deleteEvolveStep per
 // point, arrival order), then ONE full walk per evolved permutation in
 // the final (n−k)-player game gMinus rebuilds SV and LSV — exactly the
-// state k successive DeleteSame calls land on, minus their k−1
+// state k successive single-point deletions land on, minus their k−1
 // intermediate walks. points are original n-player indices in arrival
 // order; gMinus must renumber survivors by order-preserving compaction.
 // st is mutated exactly as the sequential loop would mutate it (evolved
 // permutations, adjusted slots, rebuilt SV/LSV); no randomness is
-// consumed. Bit-identical to BatchDeleteSameSeq at every worker count.
+// consumed. Bit-identical to its sequential reference (BatchDeleteSameSeq,
+// in the package tests) at every worker count; at k = 1 it is the
+// single-point deletion.
 func (e *Engine) BatchDeleteSame(st *PivotState, gMinus game.Game, points []int) ([]float64, error) {
 	if st.perms == nil {
 		return nil, ErrNoPermutations
@@ -246,4 +249,68 @@ func (e *Engine) BatchDeleteSame(st *PivotState, gMinus game.Game, points []int)
 	st.SV = sv
 	st.LSV = lsv
 	return append([]float64(nil), sv...), nil
+}
+
+// checkBatchDelete validates the departing points of a batched deletion
+// against an n-player pre-batch game: at least one point, all indices in
+// range, no duplicates. Points are given in arrival order (the order the
+// caller wants their per-point deltas folded), not necessarily sorted.
+func checkBatchDelete(n int, points []int) error {
+	if len(points) < 1 {
+		return fmt.Errorf("core: batch delete requires k ≥ 1 departing points, got 0")
+	}
+	if len(points) > n {
+		return fmt.Errorf("core: batch delete of %d points from %d players", len(points), n)
+	}
+	seen := bitset.New(n)
+	for _, p := range points {
+		if p < 0 || p >= n {
+			return fmt.Errorf("core: batch delete point %d out of range [0,%d)", p, n)
+		}
+		if seen.Contains(p) {
+			return fmt.Errorf("core: batch delete point %d listed twice", p)
+		}
+		seen.Add(p)
+	}
+	return nil
+}
+
+// batchSurvivors returns the ascending indices of the players departing in
+// no removal of the batch.
+func batchSurvivors(n int, points []int) []int {
+	gone := bitset.New(n)
+	for _, p := range points {
+		gone.Add(p)
+	}
+	survivors := make([]int, 0, n-len(points))
+	for i := 0; i < n; i++ {
+		if !gone.Contains(i) {
+			survivors = append(survivors, i)
+		}
+	}
+	return survivors
+}
+
+// deleteEvolveStep removes player p from one stored permutation in place:
+// p's entry is dropped, survivors above p renumber down by one, and the
+// pivot slot decrements when p sat before it. Pure integer bookkeeping —
+// the batched deletion evolves permutations through k removals with k of
+// these steps and walks utilities only once, which is where its k× saving
+// comes from.
+func deleteEvolveStep(perm []int, slot, p int) ([]int, int) {
+	w := 0
+	for r, q := range perm {
+		if q == p {
+			if r < slot {
+				slot--
+			}
+			continue
+		}
+		if q > p {
+			q--
+		}
+		perm[w] = q
+		w++
+	}
+	return perm[:w], slot
 }

@@ -5,7 +5,6 @@ import (
 
 	"dynshap/internal/bitset"
 	"dynshap/internal/game"
-	"dynshap/internal/rng"
 	"dynshap/internal/semivalue"
 )
 
@@ -18,12 +17,8 @@ import (
 // the historic unweighted accumulation: bit-identical output whether zero
 // or ten extra heads ride along. See DESIGN.md §16.
 
-// semivalueBanzhaf and banzhafHead are shared singletons for the Banzhaf
-// wrappers.
-var (
-	semivalueBanzhaf = semivalue.Banzhaf()
-	banzhafHead      = []semivalue.Weighting{semivalue.Banzhaf()}
-)
+// semivalueBanzhaf is the shared Banzhaf weighting of ExactBanzhaf.
+var semivalueBanzhaf = semivalue.Banzhaf()
 
 // headFold accumulates the extra semivalue heads of a full-walk pass: for
 // each head h, vals_h[p] += ω_h(pos)·T_h(marginal of p at pos).
@@ -256,38 +251,6 @@ func (f *delHeadFold) finishDelete(base [][]float64, p, issued int) [][]float64 
 		out[h] = vals
 	}
 	return out
-}
-
-// MonteCarloSemivalues prices every weighting in ws with one permutation
-// pass: τ walks are sampled exactly as MonteCarlo samples them, and each
-// head folds the observed marginals with its own position weights. The
-// Shapley head's fold multiplies by exactly 1.0, so its output is
-// bit-identical to MonteCarlo for the same source. This is the serial
-// reference implementation the engine's multi-head passes are tested
-// against.
-func MonteCarloSemivalues(g game.Game, ws []semivalue.Weighting, tau int, r *rng.Source) [][]float64 {
-	n := g.N()
-	out := make([][]float64, len(ws))
-	for h := range out {
-		out[h] = make([]float64, n)
-	}
-	if n == 0 || tau <= 0 || len(ws) == 0 {
-		return out
-	}
-	hf := newHeadFold(ws, n)
-	perm := make([]int, n)
-	utilities := make([]float64, n)
-	w := newPrefixWalker(g)
-	uEmpty := g.Value(bitset.New(n))
-	for k := 0; k < tau; k++ {
-		r.Perm(perm)
-		w.reset()
-		for pos, p := range perm {
-			utilities[pos] = w.add(p)
-		}
-		hf.foldWalk(perm, utilities, uEmpty, n)
-	}
-	return hf.finish(tau)
 }
 
 // ExactSemivalues computes exact values for every weighting in ws by one

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"dynshap/internal/bitset"
-	"dynshap/internal/game"
-	"dynshap/internal/rng"
-	"dynshap/internal/semivalue"
-)
+import "dynshap/internal/semivalue"
 
 // InitOptions selects which dynamic-update structures a combined
 // initialisation pass should build alongside the Shapley estimates.
@@ -45,91 +40,4 @@ type InitResult struct {
 // SV returns the Shapley estimates of the initialisation pass.
 func (res *InitResult) SV() []float64 {
 	return append([]float64(nil), res.Pivot.SV...)
-}
-
-// Initialize runs one Monte Carlo pass of τ permutations over g and builds
-// every requested structure from the same samples: Shapley estimates, the
-// pivot state's LSV (Algorithm 2), and the YN-NN / YNN-NNN utility arrays
-// (Algorithm 6). Sharing the pass matters because utility evaluations — one
-// model training each — dominate the cost; the bookkeeping that
-// distinguishes the algorithms is nearly free by comparison.
-func Initialize(g game.Game, tau int, opt InitOptions, r *rng.Source) (*InitResult, error) {
-	n := g.N()
-	res := &InitResult{
-		Pivot: &PivotState{
-			SV:  make([]float64, n),
-			LSV: make([]float64, n),
-			Tau: tau,
-		},
-	}
-	if opt.KeepPerms {
-		res.Pivot.perms = make([][]int, 0, tau)
-		res.Pivot.slots = make([]int, 0, tau)
-	}
-	if opt.TrackDeletions {
-		ds, err := NewDeletionStoreWith(n, opt.Store)
-		if err != nil {
-			return nil, err
-		}
-		res.Deletion = ds
-	}
-	if opt.MultiDelete >= 1 {
-		ms, err := NewMultiDeletionStoreWith(n, opt.MultiDelete, opt.Candidates, opt.Store)
-		if err != nil {
-			return nil, err
-		}
-		res.Multi = ms
-	}
-	if n == 0 || tau <= 0 {
-		return res, nil
-	}
-
-	w := newPrefixWalker(g)
-	uEmpty := g.Value(bitset.New(n))
-	utilities := make([]float64, n)
-	hf := newHeadFold(opt.Heads, n)
-	st := res.Pivot
-	for k := 0; k < tau; k++ {
-		perm := r.PermN(n)
-		t := r.Intn(n + 1)
-		w.reset()
-		prev := uEmpty
-		for pos, p := range perm {
-			cur := w.add(p)
-			utilities[pos] = cur
-			m := cur - prev
-			st.SV[p] += m
-			if pos < t {
-				st.LSV[p] += m
-			}
-			prev = cur
-		}
-		if opt.KeepPerms {
-			st.perms = append(st.perms, perm)
-			st.slots = append(st.slots, t)
-		}
-		if res.Deletion != nil {
-			res.Deletion.AccumulatePermutation(perm, utilities, uEmpty)
-		}
-		if res.Multi != nil {
-			res.Multi.AccumulatePermutation(perm, utilities, uEmpty)
-		}
-		if hf != nil {
-			hf.foldWalk(perm, utilities, uEmpty, n)
-		}
-	}
-	if hf != nil {
-		res.HeadValues = hf.finish(tau)
-	}
-	for i := 0; i < n; i++ {
-		st.SV[i] /= float64(tau)
-		st.LSV[i] /= float64(tau)
-	}
-	if res.Deletion != nil {
-		res.Deletion.finishSampled()
-	}
-	if res.Multi != nil {
-		res.Multi.finishSampled()
-	}
-	return res, nil
 }

@@ -11,7 +11,7 @@ import (
 func TestPivotStateRoundTrip(t *testing.T) {
 	gPlus := tableGame{n: 6, seed: 101}
 	gD := restrictFirst(gPlus, 5)
-	st := PivotInit(gD, 200, true, rng.New(1))
+	st := pivotInit(gD, 200, true, rng.New(1))
 
 	var buf bytes.Buffer
 	if err := st.Encode(&buf); err != nil {
@@ -43,7 +43,7 @@ func TestPivotStateRoundTrip(t *testing.T) {
 
 func TestPivotStateRoundTripWithoutPerms(t *testing.T) {
 	gD := tableGame{n: 5, seed: 102}
-	st := PivotInit(gD, 50, false, rng.New(3))
+	st := pivotInit(gD, 50, false, rng.New(3))
 	var buf bytes.Buffer
 	if err := st.Encode(&buf); err != nil {
 		t.Fatal(err)

@@ -28,7 +28,8 @@ type PivotState struct {
 	Tau int
 
 	// perms/slots are retained only when the state was built with
-	// keepPerms; they enable AddSame.
+	// InitOptions.KeepPerms; they enable Pivot-s (Engine.BatchAddSame and
+	// Engine.BatchDeleteSame).
 	perms [][]int
 	slots []int
 }
@@ -54,225 +55,13 @@ func (st *PivotState) Clone() *PivotState {
 	return c
 }
 
-// HasPermutations reports whether AddSame (Algorithm 3) is available.
+// HasPermutations reports whether Pivot-s (Algorithm 3) is available.
 func (st *PivotState) HasPermutations() bool { return st.perms != nil }
 
-// PivotInit runs Algorithm 2: Monte Carlo Shapley computation over the
-// original game that additionally accumulates LSV — the part of each
-// player's estimate contributed while it sat before a uniformly chosen
-// pivot slot. keepPerms retains the sampled permutations so a later
-// addition can reuse them (Pivot-s); without it only Pivot-d is available,
-// saving O(τ·n) memory.
-func PivotInit(g game.Game, tau int, keepPerms bool, r *rng.Source) *PivotState {
-	n := g.N()
-	st := &PivotState{
-		SV:  make([]float64, n),
-		LSV: make([]float64, n),
-		Tau: tau,
-	}
-	if keepPerms {
-		st.perms = make([][]int, 0, tau)
-		st.slots = make([]int, 0, tau)
-	}
-	if n == 0 || tau <= 0 {
-		return st
-	}
-	w := newPrefixWalker(g)
-	empty := g.Value(bitset.New(n))
-	for k := 0; k < tau; k++ {
-		perm := r.PermN(n)
-		// t = number of players that will precede the pivot; uniform on
-		// {0, …, n} because the incoming point is equally likely to land in
-		// any of the n+1 slots of an (n+1)-permutation.
-		t := r.Intn(n + 1)
-		w.reset()
-		prev := empty
-		for pos, p := range perm {
-			cur := w.add(p)
-			m := cur - prev
-			st.SV[p] += m
-			if pos < t {
-				st.LSV[p] += m
-			}
-			prev = cur
-		}
-		if keepPerms {
-			st.perms = append(st.perms, perm)
-			st.slots = append(st.slots, t)
-		}
-	}
-	for i := 0; i < n; i++ {
-		st.SV[i] /= float64(tau)
-		st.LSV[i] /= float64(tau)
-	}
-	return st
-}
-
-// ErrNoPermutations is returned by AddSame when the state was built without
-// keepPerms (or a previous AddDifferent discarded the permutations).
-var ErrNoPermutations = errors.New("core: pivot state holds no stored permutations; use AddDifferent or rebuild with PivotInit(keepPerms)")
-
-// AddSame runs Algorithm 3 (the pivot-based algorithm with the same sampled
-// permutations): the stored permutations are extended by inserting the new
-// player at the recorded pivot slot, only the suffix starting at the pivot
-// is (re-)evaluated, and the refreshed estimates SV⁺ = LSV + RSV are
-// installed in the state. gPlus must be the (n+1)-player game whose last
-// player is the new point.
-//
-// With a cached utility the prefix evaluations before the pivot hit the
-// cache entries produced by PivotInit — this is the "half the computation"
-// reuse the paper's title claim rests on.
-func (st *PivotState) AddSame(gPlus game.Game, r *rng.Source) ([]float64, error) {
-	if st.perms == nil {
-		return nil, ErrNoPermutations
-	}
-	n := st.N()
-	if gPlus.N() != n+1 {
-		return nil, fmt.Errorf("core: AddSame game has %d players, want %d", gPlus.N(), n+1)
-	}
-	pivot := n
-	m := n + 1
-	rsv := make([]float64, m)
-	dlsv := make([]float64, m)
-	w := newPrefixWalker(gPlus)
-	var uEmpty float64
-	if w.incremental() {
-		uEmpty = gPlus.Value(bitset.New(m))
-	}
-	for k := range st.perms {
-		old := st.perms[k]
-		t := st.slots[k]
-		perm := make([]int, 0, m)
-		perm = append(perm, old[:t]...)
-		perm = append(perm, pivot)
-		perm = append(perm, old[t:]...)
-		// Slot for the *next* pivot, uniform over the m+1 = n+2 positions.
-		p := r.Intn(m + 1)
-		w.reset()
-		prev := w.advance(perm, t, uEmpty)
-		for pos := t; pos < m; pos++ {
-			q := perm[pos]
-			cur := w.add(q)
-			mc := cur - prev
-			rsv[q] += mc
-			if pos < p {
-				dlsv[q] += mc
-			}
-			prev = cur
-		}
-		st.perms[k] = perm
-		st.slots[k] = p
-	}
-	sv := make([]float64, m)
-	lsv := make([]float64, m)
-	for i := 0; i < m; i++ {
-		var l float64
-		if i < n {
-			l = st.LSV[i]
-		}
-		sv[i] = l + rsv[i]/float64(st.Tau)
-		// 2/3 of the permutations counted in the old LSV keep z_i before the
-		// next pivot (among the 3! relative orders of {z_i, old pivot, next
-		// pivot}, conditioning on z_i before the old pivot leaves 2/3 with
-		// z_i also before the next one); ∆LSV supplies the freshly sampled
-		// "after old pivot, before next pivot" share.
-		lsv[i] = 2.0/3.0*l + dlsv[i]/float64(st.Tau)
-	}
-	st.SV = sv
-	st.LSV = lsv
-	return append([]float64(nil), sv...), nil
-}
-
-// DeleteSame removes player p from the state by evolving the stored
-// permutations — the deletion-side counterpart of AddSame, and the reason
-// a pivot artifact can now survive removals instead of being rebuilt.
-//
-// Deleting a player from a uniform permutation leaves a uniform
-// permutation of the survivors (a subsequence of a uniform order is
-// uniform), so the stored permutations stay a valid sample after dropping
-// p and renumbering the survivors down by one. The pivot slot moves with
-// its position: t' = t − 1 when p sat before the slot, else t' = t — a
-// uniform slot over the n+1 positions maps to a uniform slot over the n
-// remaining ones (P(t'=s) = (n−s)/((n+1)n) + (s+1)/((n+1)n) = 1/n), so
-// the LSV decomposition's pivot stays uniformly placed. One full walk of
-// each evolved permutation in the (n−1)-player game gMinus then
-// re-establishes PivotInit's invariant: SV from all positions, LSV from
-// positions before the slot. The walk consumes NO randomness — replay and
-// batching stay deterministic for free.
-//
-// gMinus must be the (n−1)-player post-deletion game whose indices are
-// the survivors renumbered by order-preserving compaction (index q > p
-// becomes q−1), exactly what game.NewRestrict(g, p) or a utility's Remove
-// produces.
-func (st *PivotState) DeleteSame(gMinus game.Game, p int) ([]float64, error) {
-	if st.perms == nil {
-		return nil, ErrNoPermutations
-	}
-	n := st.N()
-	if n < 2 {
-		return nil, fmt.Errorf("core: DeleteSame cannot remove the last player")
-	}
-	if p < 0 || p >= n {
-		return nil, fmt.Errorf("core: DeleteSame point %d out of range [0,%d)", p, n)
-	}
-	m := n - 1
-	if gMinus.N() != m {
-		return nil, fmt.Errorf("core: DeleteSame game has %d players, want %d", gMinus.N(), m)
-	}
-	rsv := make([]float64, m)
-	dlsv := make([]float64, m)
-	w := newPrefixWalker(gMinus)
-	uEmpty := gMinus.Value(bitset.New(m))
-	for t := range st.perms {
-		perm, slot := deleteEvolveStep(st.perms[t], st.slots[t], p)
-		w.reset()
-		prev := uEmpty
-		for pos, q := range perm {
-			cur := w.add(q)
-			mc := cur - prev
-			rsv[q] += mc
-			if pos < slot {
-				dlsv[q] += mc
-			}
-			prev = cur
-		}
-		st.perms[t] = perm
-		st.slots[t] = slot
-	}
-	sv := make([]float64, m)
-	lsv := make([]float64, m)
-	for i := 0; i < m; i++ {
-		sv[i] = rsv[i] / float64(st.Tau)
-		lsv[i] = dlsv[i] / float64(st.Tau)
-	}
-	st.SV = sv
-	st.LSV = lsv
-	return append([]float64(nil), sv...), nil
-}
-
-// deleteEvolveStep removes player p from one stored permutation in place:
-// p's entry is dropped, survivors above p renumber down by one, and the
-// pivot slot decrements when p sat before it. Pure integer bookkeeping —
-// the batched deletion evolves permutations through k removals with k of
-// these steps and walks utilities only once, which is where its k× saving
-// comes from.
-func deleteEvolveStep(perm []int, slot, p int) ([]int, int) {
-	w := 0
-	for r, q := range perm {
-		if q == p {
-			if r < slot {
-				slot--
-			}
-			continue
-		}
-		if q > p {
-			q--
-		}
-		perm[w] = q
-		w++
-	}
-	return perm[:w], slot
-}
+// ErrNoPermutations is returned by the Pivot-s passes when the state was
+// built without InitOptions.KeepPerms (or a previous AddDifferent discarded
+// the permutations).
+var ErrNoPermutations = errors.New("core: pivot state holds no stored permutations; Pivot-s needs a state initialised with kept permutations")
 
 // AddDifferent runs Algorithm 4 (the pivot-based algorithm with different
 // sampled permutations): tau2 fresh permutations of the updated game are
@@ -283,7 +72,7 @@ func deleteEvolveStep(perm []int, slot, p int) ([]int, int) {
 // drives the overall error below Pivot-s.
 //
 // AddDifferent invalidates any stored permutations (they no longer match
-// the sampled estimates), so a subsequent AddSame returns
+// the sampled estimates), so a subsequent Pivot-s pass returns
 // ErrNoPermutations.
 func (st *PivotState) AddDifferent(gPlus game.Game, tau2 int, r *rng.Source) ([]float64, error) {
 	n := st.N()

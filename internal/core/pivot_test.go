@@ -22,7 +22,7 @@ func restrictFirst(gPlus game.Game, n int) game.Game {
 
 // exactLSV computes the exact left-group average LSV⁺ (Lemma 1) for every
 // original player by enumerating all (n+1)! permutations of the updated
-// game. Used to validate PivotInit's sampler.
+// game. Used to validate the pivot initialisation's sampler.
 func exactLSV(gPlus game.Game) []float64 {
 	m := gPlus.N()
 	lsv := make([]float64, m-1)
@@ -72,17 +72,17 @@ func exactLSV(gPlus game.Game) []float64 {
 func TestPivotInitSVMatchesExact(t *testing.T) {
 	gPlus := tableGame{n: 7, seed: 21}
 	gD := restrictFirst(gPlus, 6)
-	st := PivotInit(gD, 30000, false, rng.New(1))
+	st := pivotInit(gD, 30000, false, rng.New(1))
 	want := Exact(gD)
 	if mse := stat.MSE(st.SV, want); mse > 1e-4 {
-		t.Fatalf("PivotInit SV MSE = %v", mse)
+		t.Fatalf("pivot init SV MSE = %v", mse)
 	}
 }
 
 func TestPivotInitLSVUnbiased(t *testing.T) {
 	gPlus := tableGame{n: 5, seed: 22}
 	gD := restrictFirst(gPlus, 4)
-	st := PivotInit(gD, 200000, false, rng.New(2))
+	st := pivotInit(gD, 200000, false, rng.New(2))
 	want := exactLSV(gPlus)
 	if mse := stat.MSE(st.LSV, want); mse > 1e-4 {
 		t.Fatalf("LSV MSE vs enumeration = %v\n got %v\nwant %v", mse, st.LSV, want)
@@ -92,7 +92,7 @@ func TestPivotInitLSVUnbiased(t *testing.T) {
 func TestPivotAddSameMatchesExact(t *testing.T) {
 	gPlus := tableGame{n: 7, seed: 23}
 	gD := restrictFirst(gPlus, 6)
-	st := PivotInit(gD, 30000, true, rng.New(3))
+	st := pivotInit(gD, 30000, true, rng.New(3))
 	got, err := st.AddSame(gPlus, rng.New(4))
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestPivotAddSameMatchesExact(t *testing.T) {
 func TestPivotAddDifferentMatchesExact(t *testing.T) {
 	gPlus := tableGame{n: 7, seed: 24}
 	gD := restrictFirst(gPlus, 6)
-	st := PivotInit(gD, 30000, false, rng.New(5))
+	st := pivotInit(gD, 30000, false, rng.New(5))
 	got, err := st.AddDifferent(gPlus, 30000, rng.New(6))
 	if err != nil {
 		t.Fatal(err)
@@ -131,12 +131,12 @@ func TestPivotAddDifferentLargerOfflineTau(t *testing.T) {
 	var mseSmall, mseBig float64
 	for rep := 0; rep < reps; rep++ {
 		seed := uint64(100 + rep)
-		stSmall := PivotInit(gD, 50, false, rng.New(seed))
+		stSmall := pivotInit(gD, 50, false, rng.New(seed))
 		gotSmall, err := stSmall.AddDifferent(gPlus, 50, rng.New(seed+1000))
 		if err != nil {
 			t.Fatal(err)
 		}
-		stBig := PivotInit(gD, 5000, false, rng.New(seed))
+		stBig := pivotInit(gD, 5000, false, rng.New(seed))
 		gotBig, err := stBig.AddDifferent(gPlus, 50, rng.New(seed+1000))
 		if err != nil {
 			t.Fatal(err)
@@ -152,7 +152,7 @@ func TestPivotAddDifferentLargerOfflineTau(t *testing.T) {
 func TestPivotAddSameRequiresPermutations(t *testing.T) {
 	gPlus := tableGame{n: 4, seed: 26}
 	gD := restrictFirst(gPlus, 3)
-	st := PivotInit(gD, 10, false, rng.New(7))
+	st := pivotInit(gD, 10, false, rng.New(7))
 	if _, err := st.AddSame(gPlus, rng.New(8)); err != ErrNoPermutations {
 		t.Fatalf("err = %v, want ErrNoPermutations", err)
 	}
@@ -162,7 +162,7 @@ func TestPivotAddDifferentInvalidatesPermutations(t *testing.T) {
 	g8 := tableGame{n: 8, seed: 27}
 	g7 := restrictFirst(g8, 7)
 	g6 := restrictFirst(g8, 6)
-	st := PivotInit(g6, 50, true, rng.New(9))
+	st := pivotInit(g6, 50, true, rng.New(9))
 	if !st.HasPermutations() {
 		t.Fatal("keepPerms init lost permutations")
 	}
@@ -180,7 +180,7 @@ func TestPivotAddDifferentInvalidatesPermutations(t *testing.T) {
 func TestPivotAddSizeMismatch(t *testing.T) {
 	gPlus := tableGame{n: 6, seed: 28}
 	gD := restrictFirst(gPlus, 5)
-	st := PivotInit(gD, 10, true, rng.New(12))
+	st := pivotInit(gD, 10, true, rng.New(12))
 	if _, err := st.AddSame(tableGame{n: 8, seed: 28}, rng.New(13)); err == nil {
 		t.Fatal("AddSame with wrong game size should fail")
 	}
@@ -199,7 +199,7 @@ func TestPivotSequentialAdds(t *testing.T) {
 	g8 := tableGame{n: 8, seed: 29}
 	g7 := restrictFirst(g8, 7)
 	g6 := restrictFirst(g8, 6)
-	st := PivotInit(g6, 20000, true, rng.New(14))
+	st := pivotInit(g6, 20000, true, rng.New(14))
 	if _, err := st.AddSame(g7, rng.New(15)); err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestPivotAddSameReusesCachedUtilities(t *testing.T) {
 	gPlus := game.NewCached(tableGame{n: 11, seed: 30})
 	counting := game.NewCounting(gPlus)
 	gD := restrictFirst(counting, 10)
-	st := PivotInit(gD, 200, true, rng.New(17))
+	st := pivotInit(gD, 200, true, rng.New(17))
 	initCalls := counting.Calls()
 	counting.Reset()
 	hitsBefore, _ := gPlus.Stats()
@@ -241,7 +241,7 @@ func TestPivotNewPointValueAccurate(t *testing.T) {
 	gPlus := tableGame{n: 6, seed: 31}
 	gD := restrictFirst(gPlus, 5)
 	want := Exact(gPlus)
-	st := PivotInit(gD, 20000, false, rng.New(19))
+	st := pivotInit(gD, 20000, false, rng.New(19))
 	got, err := st.AddDifferent(gPlus, 20000, rng.New(20))
 	if err != nil {
 		t.Fatal(err)

@@ -89,10 +89,10 @@ func TestPrefixBitIdenticalPivotFamily(t *testing.T) {
 	u, hidden := knnPair(t, 10)
 	uPlus, hiddenPlus := knnPlusPair(t, 10)
 
-	stInc := PivotInit(u, 30, true, rng.New(13))
-	stFb := PivotInit(hidden, 30, true, rng.New(13))
-	sameSlice(t, "PivotInit.SV", stInc.SV, stFb.SV)
-	sameSlice(t, "PivotInit.LSV", stInc.LSV, stFb.LSV)
+	stInc := pivotInit(u, 30, true, rng.New(13))
+	stFb := pivotInit(hidden, 30, true, rng.New(13))
+	sameSlice(t, "pivotInit.SV", stInc.SV, stFb.SV)
+	sameSlice(t, "pivotInit.LSV", stInc.LSV, stFb.LSV)
 
 	svInc, err := stInc.Clone().AddSame(uPlus, rng.New(14))
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 
 	"dynshap/internal/bitset"
 	"dynshap/internal/game"
-	"dynshap/internal/rng"
 	"dynshap/internal/semivalue"
 )
 
@@ -199,31 +198,6 @@ func (ds *DeletionStore) accumulateStripe(perm []int, utilities []float64, uEmpt
 		}
 		prev = cur
 	}
-}
-
-// PreprocessDeletion runs Algorithm 6: Monte Carlo Shapley computation over
-// g that simultaneously fills the YN/NN arrays. The extra work per
-// permutation is O(n²) float additions — no additional utility evaluations.
-func PreprocessDeletion(g game.Game, tau int, r *rng.Source) *DeletionStore {
-	n := g.N()
-	ds := NewDeletionStore(n)
-	if n == 0 || tau <= 0 {
-		return ds
-	}
-	w := newPrefixWalker(g)
-	uEmpty := g.Value(bitset.New(n))
-	utilities := make([]float64, n)
-	perm := make([]int, n)
-	for k := 0; k < tau; k++ {
-		r.Perm(perm)
-		w.reset()
-		for pos, p := range perm {
-			utilities[pos] = w.add(p)
-		}
-		ds.AccumulatePermutation(perm, utilities, uEmpty)
-	}
-	ds.finishSampled()
-	return ds
 }
 
 // finishSampled converts accumulated sums into averages.
@@ -774,34 +748,6 @@ func (ms *MultiDeletionStore) finishSampled() {
 	for i := range ms.SV {
 		ms.SV[i] *= inv
 	}
-}
-
-// PreprocessMultiDeletion runs the YNN-NNN fill: Monte Carlo Shapley
-// computation over g that simultaneously populates the (d+2)-dimensional
-// arrays for every d-subset of the candidates.
-func PreprocessMultiDeletion(g game.Game, d int, candidates []int, tau int, r *rng.Source) (*MultiDeletionStore, error) {
-	n := g.N()
-	ms, err := NewMultiDeletionStore(n, d, candidates)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 || tau <= 0 {
-		return ms, nil
-	}
-	w := newPrefixWalker(g)
-	uEmpty := g.Value(bitset.New(n))
-	utilities := make([]float64, n)
-	perm := make([]int, n)
-	for k := 0; k < tau; k++ {
-		r.Perm(perm)
-		w.reset()
-		for pos, p := range perm {
-			utilities[pos] = w.add(p)
-		}
-		ms.AccumulatePermutation(perm, utilities, uEmpty)
-	}
-	ms.finishSampled()
-	return ms, nil
 }
 
 // PreprocessMultiDeletionExact fills Definition-2 arrays by complete

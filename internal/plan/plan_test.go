@@ -19,12 +19,17 @@ func planGame(n int) game.Game {
 func artifacts(t *testing.T, n int, keepPerms, trackDel bool, multiD int, cands []int) Artifacts {
 	t.Helper()
 	art := Artifacts{N: n, StoresFresh: true}
-	art.Pivot = core.PivotInit(planGame(n), 50, keepPerms, rng.New(1))
+	e := core.NewEngine(core.WithWorkers(1))
+	res, err := e.Initialize(planGame(n), 50, core.InitOptions{KeepPerms: keepPerms}, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	art.Pivot = res.Pivot
 	if trackDel {
-		art.Deletion = core.PreprocessDeletion(planGame(n), 50, rng.New(1))
+		art.Deletion = e.PreprocessDeletion(planGame(n), 50, rng.New(1))
 	}
 	if multiD > 0 {
-		ms, err := core.PreprocessMultiDeletion(planGame(n), multiD, cands, 50, rng.New(1))
+		ms, err := e.PreprocessMultiDeletion(planGame(n), multiD, cands, 50, rng.New(1))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -97,7 +97,8 @@ type knnPivot struct {
 	// The pivots. order[t*np:(t+1)*np] lists them for test point t from the
 	// last to sort to the first under (distance, index) — the order in which
 	// they leave window t, with their distances in orderDist — so in Walk
-	// the pivots still in window t are order[t*np+gone[t] : (t+1)*np].
+	// the pivots still in window t are order[t*np+gone[t] : (t+1)*np]; the
+	// first Walk with pivots builds it (sortPivots).
 	// pDist[j*m+t] is pivot j's distance to test point t.
 	pivots    []int32
 	pLabels   []int32
@@ -177,8 +178,6 @@ func (u *ModelUtility) knnPivot(pivots []int) *knnPivot {
 		pivots:     make([]int32, np),
 		pLabels:    make([]int32, np),
 		pDist:      make([]float64, np*m),
-		order:      make([]int32, m*np),
-		orderDist:  make([]float64, m*np),
 		gone:       make([]int32, m),
 		termAt:     make([]int32, m*classes),
 		corr:       make([]int, np),
@@ -197,22 +196,6 @@ func (u *ModelUtility) knnPivot(pivots []int) *knnPivot {
 		e.pivots[j] = int32(v)
 		e.pLabels[j] = e.labels[v]
 		copy(e.pDist[j*m:], e.column(v))
-	}
-	// Without pivots (the plain walk and the step view) there is nothing
-	// to order, and the sort's per-call allocations would be the bulk of
-	// the evaluator's construction.
-	for t := 0; np > 0 && t < m; t++ {
-		ord := e.order[t*np : (t+1)*np]
-		for j := range ord {
-			ord[j] = int32(j)
-		}
-		sort.Slice(ord, func(a, b int) bool {
-			da, db := e.pDist[int(ord[a])*m+t], e.pDist[int(ord[b])*m+t]
-			return da > db || (da == db && e.pivots[ord[a]] > e.pivots[ord[b]])
-		})
-		for a, j := range ord {
-			e.orderDist[t*np+a] = e.pDist[int(j)*m+t]
-		}
 	}
 	denom := m
 	if e.soft {
@@ -248,6 +231,9 @@ func (e *knnPivot) column(p int) []float64 {
 func (e *knnPivot) Walk(perm []int, row []float64) {
 	e.reset()
 	e.nested = false
+	if e.order == nil && len(e.pivots) > 0 {
+		e.sortPivots()
+	}
 	stride := len(e.pivots) + 1
 	for pos, p := range perm {
 		e.add(p, pos)
@@ -258,6 +244,30 @@ func (e *knnPivot) Walk(perm []int, row []float64) {
 		}
 	}
 	e.u.prefixAdds.Add(int64(len(perm) * stride))
+}
+
+// sortPivots builds the per-test pivot order only Walk's refresh reads:
+// for each test point, the pivots from the last to sort to the first under
+// (distance, index), with their distances. The plain walk, the step view
+// and the nested walk never read it, so it waits for the first Walk with
+// pivots.
+func (e *knnPivot) sortPivots() {
+	m, np := e.m, len(e.pivots)
+	e.order = make([]int32, m*np)
+	e.orderDist = make([]float64, m*np)
+	for t := 0; t < m; t++ {
+		ord := e.order[t*np : (t+1)*np]
+		for j := range ord {
+			ord[j] = int32(j)
+		}
+		sort.Slice(ord, func(a, b int) bool {
+			da, db := e.pDist[int(ord[a])*m+t], e.pDist[int(ord[b])*m+t]
+			return da > db || (da == db && e.pivots[ord[a]] > e.pivots[ord[b]])
+		})
+		for a, j := range ord {
+			e.orderDist[t*np+a] = e.pDist[int(j)*m+t]
+		}
+	}
 }
 
 // WalkNested implements game.PivotPrefixEvaluator: one walk of final's

@@ -23,8 +23,10 @@ type knnStep struct {
 // training latency (WithSimulatedLatency) does not apply. Each Add counts
 // one prefix add. The engine's full walks price a whole permutation in one
 // PivotPrefix(nil) Walk instead; this view serves the walks that stop or
-// seed part way (TMC's cut, the sequential references). Prefix is safe for
-// concurrent calls; each returned evaluator must stay on one goroutine.
+// seed part way: TMC's cut, Pivot-d's suffix walks, the antithetic
+// estimator, and the sequential references in internal/core's tests.
+// Prefix is safe for concurrent calls; each returned evaluator must stay
+// on one goroutine.
 func (u *ModelUtility) Prefix() game.PrefixEvaluator {
 	if u.knnK == 0 {
 		return nil

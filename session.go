@@ -553,8 +553,42 @@ func (s *Session) At(version int) (UpdateRecord, error) {
 	return u, nil
 }
 
-// ErrNotInitialized is returned by updates before Init has run.
+// ErrNotInitialized is returned by updates before Init has run. A Pivot-s
+// request on a version that holds no pivot state fails with an error of
+// its own text that matches it under errors.Is.
 var ErrNotInitialized = errors.New("dynshap: session not initialized; call Init first")
+
+// storedPermsErr explains why st cannot run Pivot-s (AlgoPivotSame,
+// AlgoPivotSameBatch) and names a remedy the session offers, or returns
+// nil when st holds stored permutations for its player set. A state with
+// no pivot at all matches ErrNotInitialized, on which journal replay
+// rebuilds the artifacts.
+func (s *Session) storedPermsErr(st *sessionState) error {
+	var why string
+	switch {
+	case !s.cfg.keepPerms:
+		why = "the session keeps none; build it WithKeepPermutations"
+	case st.pivot == nil:
+		why = "this version holds none (a deletion other than AlgoPivotSameBatch, or a resume, drops them); call Refresh to rebuild them"
+	case !st.pivot.HasPermutations():
+		why = "an AlgoPivotDifferent add dropped them; call Refresh to rebuild them"
+	case st.pivot.N() != st.train().Len():
+		why = "an update by another algorithm left them behind the player set; call Refresh to rebuild them"
+	default:
+		return nil
+	}
+	err := fmt.Errorf("dynshap: Pivot-s needs stored permutations, but %s", why)
+	if st.pivot == nil {
+		return noPivotError{err}
+	}
+	return err
+}
+
+// noPivotError is a missing pivot state: it keeps its own text and matches
+// ErrNotInitialized.
+type noPivotError struct{ error }
+
+func (noPivotError) Is(target error) bool { return target == ErrNotInitialized }
 
 // ErrStaleStores is returned when AlgoYNNN is explicitly requested after
 // the arrays have gone stale (any prior update invalidates them); call
@@ -775,7 +809,10 @@ func (s *Session) planUpdate(st *sessionState, op plan.Op, count int, indices []
 //
 //   - AlgoAuto: let the planner pick the cheapest valid path below.
 //   - AlgoPivotSame / AlgoPivotDifferent / AlgoDelta: incremental, applied
-//     per point in sequence.
+//     per point in sequence. AlgoPivotSame reuses the stored permutations
+//     (WithKeepPermutations); AlgoPivotDifferent draws fresh ones, keeps
+//     none of them and drops the stored set, so Pivot-s needs a Refresh
+//     after it.
 //   - AlgoPivotSameBatch: one stored-permutation pass for the whole batch;
 //     bit-identical to applying AlgoPivotSame per point in sequence, at a
 //     fraction of the wall clock.
@@ -1028,8 +1065,8 @@ func (s *Session) applyAppendBuilt(st *sessionState, uPlus *utility.ModelUtility
 // RNG sources are split from r in arrival order whatever the batch size,
 // so a request gives the same values either way.
 func (s *Session) addPivotSame(st *sessionState, points []Point, size int, r *rng.Source, ops *opMetrics) error {
-	if st.pivot == nil {
-		return ErrNotInitialized
+	if err := s.storedPermsErr(st); err != nil {
+		return err
 	}
 	// Clone before mutating: the published predecessor shares this pivot,
 	// and a half-applied failure must not corrupt it.
@@ -1163,66 +1200,47 @@ func (s *Session) deleteJournaled(indices []int, algo Algorithm, coalesced bool)
 	var ops opMetrics
 	begin := time.Now()
 	var (
-		expanded []float64 // old indexing, zeros at deleted points
-		// headsExp carries the extra semivalue heads in the same expanded
-		// form, one slice per configured head; compacted alongside sv.
-		headsExp [][]float64
-		err      error
+		// sv and heads are the survivors' values and extra semivalue heads
+		// (one slice per configured head), in the post-delete numbering.
+		sv    []float64
+		heads [][]float64
+		err   error
 	)
 	switch algo {
 	case AlgoExactKNN:
-		// The estimator produces the survivors' values directly in the
-		// post-delete numbering, after deriveRemove folds the removal in
-		// below — nothing to expand or compact here; expanded stays nil as
-		// the marker for that path.
+		// deriveRemove folds the removal into the estimator below; its
+		// values are then the survivors'.
 		if st.exact == nil {
 			err = ErrExactUnavailable
 		}
 	case AlgoYNNN:
-		expanded, headsExp, err = s.deleteYNNN(st, indices)
+		sv, heads, err = s.deleteYNNN(st, indices)
 	case AlgoDelta:
-		expanded, headsExp, err = s.deleteDelta(st, indices, r, &ops)
+		sv, heads, err = s.deleteDelta(st, indices, r, &ops)
 	case AlgoDeltaBatch:
-		expanded, err = s.deleteDeltaBatch(st, indices, r, &ops)
+		sv, err = s.deleteDeltaBatch(st, indices, r, &ops)
 	case AlgoPivotSameBatch:
-		expanded, err = s.deletePivotBatch(st, indices, &ops)
+		sv, err = s.deletePivotBatch(st, indices, &ops)
 	case AlgoKNN:
-		expanded, err = core.KNNDelete(st.sv, st.train(), indices, s.cfg.knnK)
+		sv, err = core.KNNDelete(st.sv, st.train(), indices, s.cfg.knnK)
 	case AlgoKNNPlus:
-		expanded, err = core.KNNPlusDelete(s.gameOf(st), st.train(), st.sv, indices, nil, s.knnPlusCfg(), r.Split())
+		sv, err = core.KNNPlusDelete(s.gameOf(st), st.train(), st.sv, indices, nil, s.knnPlusCfg(), r.Split())
 	case AlgoMonteCarlo, AlgoTruncatedMC:
-		restricted := game.NewRestrict(s.gameOf(st), indices...)
-		var sub []float64
-		if algo == AlgoTruncatedMC {
-			sub = s.engine.TruncatedMonteCarlo(restricted, s.cfg.updateTau, s.cfg.truncationTol, r.Split())
-		} else {
-			sub = s.engine.MonteCarlo(restricted, s.cfg.updateTau, r.Split())
-		}
-		ops.perms += s.engine.Stats().Issued
-		expanded = make([]float64, n)
-		for ri, orig := range restricted.Keep() {
-			expanded[orig] = sub[ri]
-		}
-		// The engine folded the heads over the same restricted walks; its
-		// output is in the survivors' (restricted) numbering.
-		if s.cfg.headCount() > 0 {
-			headsExp = make([][]float64, s.cfg.headCount())
-			hv := s.engine.HeadValues()
-			for h := range headsExp {
-				headsExp[h] = make([]float64, n)
-				if hv == nil || h >= len(hv) {
-					continue
-				}
-				for ri, orig := range restricted.Keep() {
-					headsExp[h][orig] = hv[h][ri]
-				}
-			}
-		}
+		sv, heads = s.deleteRecompute(st, algo, indices, r, &ops)
 	default:
 		err = fmt.Errorf("dynshap: algorithm %v does not support deletions", algo)
 	}
 	if err != nil {
 		return nil, journal.Update{}, err
+	}
+	switch algo {
+	case AlgoYNNN, AlgoDeltaBatch, AlgoKNN, AlgoKNNPlus:
+		// These estimators keep the pre-delete numbering, with zeros at
+		// the removed slots.
+		sv = survivors(sv, seen)
+		for h := range heads {
+			heads[h] = survivors(heads[h], seen)
+		}
 	}
 
 	// Exact deletes journal the departing points' pre-delete exact values
@@ -1246,36 +1264,15 @@ func (s *Session) deleteJournaled(indices []int, algo Algorithm, coalesced bool)
 			removedVals[i] = cur.sv[idx]
 		}
 	}
-	if expanded != nil {
-		// Compact to the surviving points.
-		compact := make([]float64, 0, n-len(indices))
-		for i := 0; i < n; i++ {
-			if !seen[i] {
-				compact = append(compact, expanded[i])
-			}
-		}
-		st.sv = compact
-		if headsExp != nil {
-			heads := make([][]float64, len(headsExp))
-			for h, hv := range headsExp {
-				c := make([]float64, 0, n-len(indices))
-				for i := 0; i < n; i++ {
-					if !seen[i] {
-						c = append(c, hv[i])
-					}
-				}
-				heads[h] = c
-			}
-			st.heads = heads
-		}
-	}
 	// Commit point: nothing below fails, so the estimator the successor
 	// took over changes only now, in deriveRemove.
 	s.deriveRemove(st, indices) // indices shifted: the old cache keys are invalid
-	if expanded == nil {
-		// Exact path: the estimator's reduction IS the survivors' values,
-		// already in the compacted numbering.
-		st.sv = st.exact.Values()
+	if algo == AlgoExactKNN {
+		sv = st.exact.Values()
+	}
+	st.sv = sv
+	if heads != nil {
+		st.heads = heads
 	}
 	// The batched pivot walk evolved its (cloned) permutations through the
 	// removal — the artifact stays live for later additions. Every other
@@ -1304,6 +1301,18 @@ func (s *Session) deleteJournaled(indices []int, algo Algorithm, coalesced bool)
 	}
 	s.publish(st, u)
 	return append([]float64(nil), st.sv...), u, nil
+}
+
+// survivors drops the removed slots, gone, from values in the pre-delete
+// numbering, leaving the survivors' values in the post-delete one.
+func survivors(full []float64, gone map[int]bool) []float64 {
+	out := make([]float64, 0, len(full)-len(gone))
+	for i, v := range full {
+		if !gone[i] {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 func (s *Session) deleteYNNN(st *sessionState, indices []int) ([]float64, [][]float64, error) {
@@ -1341,10 +1350,37 @@ func (s *Session) deleteYNNN(st *sessionState, indices []int) ([]float64, [][]fl
 	return sv, nil, err
 }
 
+// deleteRecompute reruns MC or TMC over the survivors' restricted game,
+// whose numbering is the post-delete one, for the values and the extra
+// heads the engine folds over the same walks.
+func (s *Session) deleteRecompute(st *sessionState, algo Algorithm, indices []int, r *rng.Source, ops *opMetrics) ([]float64, [][]float64) {
+	restricted := game.NewRestrict(s.gameOf(st), indices...)
+	var sv []float64
+	if algo == AlgoTruncatedMC {
+		sv = s.engine.TruncatedMonteCarlo(restricted, s.cfg.updateTau, s.cfg.truncationTol, r.Split())
+	} else {
+		sv = s.engine.MonteCarlo(restricted, s.cfg.updateTau, r.Split())
+	}
+	ops.perms += s.engine.Stats().Issued
+	if s.cfg.headCount() == 0 {
+		return sv, nil
+	}
+	// A pass over no survivors folds no heads: they stay zero.
+	heads := make([][]float64, s.cfg.headCount())
+	hv := s.engine.HeadValues()
+	for h := range heads {
+		heads[h] = make([]float64, len(sv))
+		if h < len(hv) {
+			copy(heads[h], hv[h])
+		}
+	}
+	return sv, heads
+}
+
 func (s *Session) deleteDelta(st *sessionState, indices []int, r *rng.Source, ops *opMetrics) ([]float64, [][]float64, error) {
 	// Apply sequentially, one single-point batch deletion per index;
-	// between steps, work in the shrinking restricted game but keep
-	// original indexing via an index map.
+	// between steps, work in the shrinking restricted game, whose
+	// numbering alive maps back to the original one.
 	cur := append([]float64(nil), st.sv...)
 	// curHeads tracks the extra heads through the same shrinking numbering.
 	var curHeads [][]float64
@@ -1401,29 +1437,17 @@ func (s *Session) deleteDelta(st *sessionState, indices []int, r *rng.Source, op
 		}
 		rg = game.NewRestrict(g, removed...)
 	}
-	expanded := make([]float64, st.train().Len())
-	for i, orig := range alive {
-		expanded[orig] = cur[i]
-	}
-	var headsExp [][]float64
-	if curHeads != nil {
-		headsExp = make([][]float64, len(curHeads))
-		for h, hs := range curHeads {
-			headsExp[h] = make([]float64, st.train().Len())
-			for i, orig := range alive {
-				headsExp[h][orig] = hs[i]
-			}
-		}
-	}
-	return expanded, headsExp, nil
+	// alive stayed ascending, so cur and curHeads are already in the
+	// post-delete numbering.
+	return cur, curHeads, nil
 }
 
 // deleteDeltaBatch runs the batched delta deletion: one shared permutation
 // pass over the common survivors prices every departing point against the
-// fixed pre-batch set. The engine's output is already in the pre-delete
-// numbering with zeros at the removed slots — exactly the expanded form
-// deleteJournaled compacts. One r.Split() mirrors sequential deleteDelta's
-// first split, so a single-index request is bit-identical to AlgoDelta.
+// fixed pre-batch set. The engine's output is in the pre-delete numbering
+// with zeros at the removed slots, which deleteJournaled compacts. One
+// r.Split() mirrors sequential deleteDelta's first split, so a
+// single-index request is bit-identical to AlgoDelta.
 func (s *Session) deleteDeltaBatch(st *sessionState, indices []int, r *rng.Source, ops *opMetrics) ([]float64, error) {
 	out, err := s.engine.BatchDeltaDelete(s.gameOf(st), st.sv, indices, s.cfg.updateTau, r.Split())
 	if err != nil {
@@ -1439,8 +1463,8 @@ func (s *Session) deleteDeltaBatch(st *sessionState, indices []int, r *rng.Sourc
 // the pivot teardown for this algorithm, so the next addition can still run
 // Pivot-s off the evolved permutations. Consumes no randomness.
 func (s *Session) deletePivotBatch(st *sessionState, indices []int, ops *opMetrics) ([]float64, error) {
-	if st.pivot == nil {
-		return nil, ErrNotInitialized
+	if err := s.storedPermsErr(st); err != nil {
+		return nil, err
 	}
 	// Clone before mutating: the published predecessor shares this pivot,
 	// and a half-applied failure must not corrupt it.
@@ -1451,14 +1475,7 @@ func (s *Session) deletePivotBatch(st *sessionState, indices []int, ops *opMetri
 		return nil, err
 	}
 	ops.perms += s.engine.Stats().Issued
-	// Expand the survivors' values back to the pre-delete numbering (zeros
-	// at the removed slots) so the shared compaction below the switch
-	// applies uniformly.
-	expanded := make([]float64, st.train().Len())
-	for ri, orig := range rg.Keep() {
-		expanded[orig] = sv[ri]
-	}
-	return expanded, nil
+	return sv, nil
 }
 
 // installBase publishes a state holding externally supplied values at the

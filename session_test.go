@@ -2,9 +2,11 @@ package dynshap
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -284,6 +286,75 @@ func TestSessionYNNNStaleAfterUpdate(t *testing.T) {
 	}
 	if _, err := s.Delete([]int{0}, AlgoYNNN); err != nil {
 		t.Fatalf("after Refresh: %v", err)
+	}
+}
+
+// TestSessionPivotSameNamesRemedy checks that a Pivot-s request on a state
+// without stored permutations names the cause and a remedy the session
+// offers: WithKeepPermutations when the session keeps none, Refresh after
+// an AlgoPivotDifferent add, an add by another algorithm, or a deletion
+// that dropped the pivot state. A missing pivot state still matches
+// ErrNotInitialized, on which journal replay rebuilds the artifacts.
+func TestSessionPivotSameNamesRemedy(t *testing.T) {
+	point := []Point{{X: []float64{0, 0, 0, 0}, Y: 0}}
+	add := func(algo Algorithm) func(*Session) error {
+		return func(s *Session) error { _, err := s.Add(point, algo); return err }
+	}
+	keep := []Option{WithKeepPermutations()}
+	for _, c := range []struct {
+		name    string
+		opts    []Option
+		before  func(*Session) error
+		remedy  string
+		noPivot bool
+	}{
+		{"without WithKeepPermutations", nil, nil, "WithKeepPermutations", false},
+		{"after AlgoPivotDifferent", keep, add(AlgoPivotDifferent), "Refresh", false},
+		{"after AlgoDelta add", keep, add(AlgoDelta), "Refresh", false},
+		{"after AlgoDelta delete", keep, func(s *Session) error {
+			_, err := s.Delete([]int{0}, AlgoDelta)
+			return err
+		}, "Refresh", true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := newTestSession(t, 8, c.opts...)
+			if err := s.Init(); err != nil {
+				t.Fatal(err)
+			}
+			if c.before != nil {
+				if err := c.before(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pivotSame := func() []error {
+				_, errAdd := s.Add(point, AlgoPivotSame)
+				_, errDel := s.Delete([]int{0}, AlgoPivotSameBatch)
+				return []error{errAdd, errDel}
+			}
+			for _, err := range pivotSame() {
+				if err == nil {
+					t.Fatal("Pivot-s ran without stored permutations")
+				}
+				msg := err.Error()
+				if !strings.Contains(msg, c.remedy) || strings.Contains(msg, "PivotInit") || strings.Contains(msg, "call Init first") {
+					t.Fatalf("error %q does not name the remedy %s", msg, c.remedy)
+				}
+				if errors.Is(err, ErrNotInitialized) != c.noPivot {
+					t.Fatalf("errors.Is(%q, ErrNotInitialized) = %v, want %v", msg, !c.noPivot, c.noPivot)
+				}
+			}
+			if c.remedy != "Refresh" {
+				return
+			}
+			if err := s.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+			for _, err := range pivotSame() {
+				if err != nil {
+					t.Fatalf("after Refresh: %v", err)
+				}
+			}
+		})
 	}
 }
 
