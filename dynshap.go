@@ -399,30 +399,6 @@ func RestrictGame(g Game, removed ...int) Game {
 // the cheap baseline the paper's introduction contrasts with Shapley value.
 func LeaveOneOut(g Game) []float64 { return core.LeaveOneOut(g) }
 
-// StratifiedMonteCarloShapley approximates Shapley values by stratified
-// coalition sampling (Maleki et al.) with the given per-stratum sample
-// count.
-func StratifiedMonteCarloShapley(g Game, samplesPerStratum int, seed uint64) []float64 {
-	return core.StratifiedMonteCarlo(g, samplesPerStratum, rng.New(seed))
-}
-
-// MonteCarloShapleyAntithetic samples τ antithetic permutation PAIRS (each
-// permutation scanned with its reverse) — a classical variance-reduction
-// trick that typically beats plain sampling at equal evaluation budgets on
-// learning-curve-shaped utilities.
-func MonteCarloShapleyAntithetic(g Game, tauPairs int, seed uint64) []float64 {
-	return core.MonteCarloAntithetic(g, tauPairs, rng.New(seed))
-}
-
-// ComplementaryMonteCarloShapley approximates Shapley values from
-// complementary contributions CC(S) = U(S) − U(N∖S) (Zhang et al., SIGMOD
-// 2023, the stratification highlighted in the paper's related work). One
-// evaluation pair informs every member of S, which often beats plain
-// permutation sampling at equal τ on games with strong complementarities.
-func ComplementaryMonteCarloShapley(g Game, tau int, seed uint64) []float64 {
-	return core.ComplementaryMonteCarlo(g, tau, rng.New(seed))
-}
-
 // KNNShapley returns the EXACT Shapley values of every training point under
 // the soft k-NN utility (fraction of correct labels among the k nearest
 // neighbours, averaged over the test set) in O(n log n) per test point —

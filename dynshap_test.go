@@ -53,14 +53,6 @@ func TestLeaveOneOutFacade(t *testing.T) {
 	}
 }
 
-func TestStratifiedFacade(t *testing.T) {
-	got := dynshap.StratifiedMonteCarloShapley(gloveGame(), 3000, 1)
-	want := dynshap.ExactShapley(gloveGame())
-	if dynshap.MSE(got, want) > 1e-3 {
-		t.Fatalf("stratified MSE = %v", dynshap.MSE(got, want))
-	}
-}
-
 func TestTrackerFacade(t *testing.T) {
 	tr := dynshap.NewShapleyTracker(gloveGame(), 5)
 	values, used := tr.RunUntil(0.02, 0.05, 30, 100000)
@@ -224,15 +216,6 @@ func TestSampleSizeMonotonicity(t *testing.T) {
 	}
 }
 
-func TestComplementaryFacade(t *testing.T) {
-	g := gloveGame()
-	got := dynshap.ComplementaryMonteCarloShapley(g, 20000, 3)
-	want := dynshap.ExactShapley(g)
-	if m := dynshap.MSE(got, want); m > 1e-3 {
-		t.Fatalf("CC-MC MSE = %v", m)
-	}
-}
-
 func TestKNNShapleyFacade(t *testing.T) {
 	data := dynshap.IrisLike(30, 41)
 	data.Standardize()
@@ -321,14 +304,5 @@ func TestMonteCarloSemivaluesFacade(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestAntitheticFacade(t *testing.T) {
-	g := gloveGame()
-	got := dynshap.MonteCarloShapleyAntithetic(g, 10000, 5)
-	want := dynshap.ExactShapley(g)
-	if m := dynshap.MSE(got, want); m > 1e-3 {
-		t.Fatalf("antithetic MSE = %v", m)
 	}
 }

@@ -225,6 +225,22 @@ func TestExactKNNUnavailable(t *testing.T) {
 	}
 }
 
+// TestExactKNNPivotDifferentNamesRemedy: an exact-initialised session holds
+// no pivot state, and Refresh would not build one, so a Pivot-d request
+// names the remedies that work instead.
+func TestExactKNNPivotDifferentNamesRemedy(t *testing.T) {
+	train, test := softPool(12, 6, 77)
+	s := dynshap.NewSession(train, test, dynshap.SoftKNNClassifier{K: 3}, dynshap.WithSamples(10))
+	if err := s.Init(); err != nil {
+		t.Fatal(err)
+	}
+	_, err := s.Add([]dynshap.Point{test.Points[0].Clone()}, dynshap.AlgoPivotDifferent)
+	if err == nil || !strings.Contains(err.Error(), "AlgoExactKNN") ||
+		!strings.Contains(err.Error(), "WithKeepPermutations") || strings.Contains(err.Error(), "Refresh") {
+		t.Fatalf("Pivot-d on an exact-initialised session: err = %v, want the AlgoExactKNN and WithKeepPermutations remedies", err)
+	}
+}
+
 // TestExactKNNWithSampledArtifacts: options that demand sampled artifacts
 // (here YN-NN tracking) force a sampled init, but AlgoAuto updates still
 // route onto the maintained exact estimator — and land on exact values.

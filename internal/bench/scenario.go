@@ -209,7 +209,7 @@ func (r *Runner) runAdd(name string, sc *scenario, prods *initProducts, added []
 			if name == "Pivot-s" {
 				sv, err = e.BatchAddSame(st, g, 1, []*rng.Source{rnd})
 			} else {
-				sv, err = st.AddDifferent(g, tau, rnd)
+				sv, err = e.AddDifferent(st, g, tau, rnd)
 			}
 			if err != nil {
 				return nil, m, err

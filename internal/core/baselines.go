@@ -3,7 +3,6 @@ package core
 import (
 	"dynshap/internal/bitset"
 	"dynshap/internal/game"
-	"dynshap/internal/rng"
 )
 
 // LeaveOneOut returns each player's leave-one-out score
@@ -28,55 +27,4 @@ func LeaveOneOut(g game.Game) []float64 {
 		s.Add(i)
 	}
 	return out
-}
-
-// StratifiedMonteCarlo approximates Shapley values with stratified coalition
-// sampling (Maleki et al., cited by the paper as the non-asymptotic-bound
-// alternative to permutation sampling): for every player i the coalition
-// sizes 0..n−1 form strata, each stratum receives samplesPerStratum
-// uniformly drawn coalitions S ⊆ N∖{i} of that size, and
-//
-//	SV_i = (1/n) Σ_k  avg_S [U(S∪{i}) − U(S)].
-//
-// Total utility evaluations: 2·n·n·samplesPerStratum (marginals are not
-// shared between players, unlike permutation sampling, but each stratum's
-// error is bounded independently).
-func StratifiedMonteCarlo(g game.Game, samplesPerStratum int, r *rng.Source) []float64 {
-	n := g.N()
-	sv := make([]float64, n)
-	if n == 0 || samplesPerStratum <= 0 {
-		return sv
-	}
-	others := make([]int, 0, n-1)
-	s := bitset.New(n)
-	for i := 0; i < n; i++ {
-		others = others[:0]
-		for j := 0; j < n; j++ {
-			if j != i {
-				others = append(others, j)
-			}
-		}
-		var total float64
-		for k := 0; k < n; k++ {
-			var stratum float64
-			for t := 0; t < samplesPerStratum; t++ {
-				// Uniform size-k subset of the other players via a partial
-				// shuffle of `others`.
-				for x := 0; x < k; x++ {
-					y := x + r.Intn(len(others)-x)
-					others[x], others[y] = others[y], others[x]
-				}
-				s.Clear()
-				for _, p := range others[:k] {
-					s.Add(p)
-				}
-				without := g.Value(s)
-				s.Add(i)
-				stratum += g.Value(s) - without
-			}
-			total += stratum / float64(samplesPerStratum)
-		}
-		sv[i] = total / float64(n)
-	}
-	return sv
 }

@@ -56,33 +56,6 @@ func TestLeaveOneOutEmpty(t *testing.T) {
 	}
 }
 
-func TestStratifiedMonteCarloConverges(t *testing.T) {
-	g := tableGame{n: 9, seed: 91}
-	want := Exact(g)
-	got := StratifiedMonteCarlo(g, 2000, rng.New(1))
-	if mse := stat.MSE(got, want); mse > 1e-4 {
-		t.Fatalf("stratified MC MSE = %v", mse)
-	}
-}
-
-func TestStratifiedMonteCarloExactOnAdditive(t *testing.T) {
-	g := game.Additive{Weights: []float64{2, -1, 0.5, 3}}
-	got := StratifiedMonteCarlo(g, 1, rng.New(2))
-	if d := maxAbsDiff(got, g.ShapleyValues()); d > 1e-12 {
-		t.Fatalf("stratified MC on additive game: diff %v", d)
-	}
-}
-
-func TestStratifiedMonteCarloDegenerate(t *testing.T) {
-	if got := StratifiedMonteCarlo(game.Additive{}, 5, rng.New(1)); len(got) != 0 {
-		t.Fatal("stratified on empty game should be empty")
-	}
-	got := StratifiedMonteCarlo(game.Additive{Weights: []float64{1}}, 0, rng.New(1))
-	if got[0] != 0 {
-		t.Fatal("zero samples should give zero estimate")
-	}
-}
-
 func TestTrackerConvergesToExact(t *testing.T) {
 	g := tableGame{n: 8, seed: 92}
 	want := Exact(g)

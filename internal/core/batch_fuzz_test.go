@@ -48,9 +48,10 @@ func knnMode(mode uint8, k int) (ml.Trainer, []utility.Option) {
 // equal their per-point sequential references with ==, no tolerance — the
 // delta form against k independent fixed-base walks sharing the permutation
 // stream, the pivot form against k successive AddSame calls (including the
-// evolved LSV state). mode picks the scoring rule and distance source
-// (knnMode), so the delta form's fused k-NN walk is pinned under both rules
-// and both sources. Seeds run as regular tests; use
+// evolved LSV state), and Pivot-d on the first pending point against its
+// step-by-step reference (values, LSV and τ). mode picks the scoring rule
+// and distance source (knnMode), so the delta form's fused k-NN walk is
+// pinned under both rules and both sources. Seeds run as regular tests; use
 // `go test -fuzz FuzzBatchSequentialEquality ./internal/core/` for guided
 // exploration.
 func FuzzBatchSequentialEquality(f *testing.F) {
@@ -72,7 +73,8 @@ func FuzzBatchSequentialEquality(f *testing.F) {
 		train, test := mk(n), mk(1+r.Intn(8))
 		tr, opts := knnMode(mode, 1+r.Intn(4))
 		u := utility.NewModelUtility(train, test, tr, opts...)
-		uPlus := u.Append(mk(k).Points...)
+		added := mk(k).Points
+		uPlus := u.Append(added...)
 
 		oldSV := make([]float64, n)
 		for i := range oldSV {
@@ -128,6 +130,25 @@ func FuzzBatchSequentialEquality(f *testing.F) {
 		}
 		same("pivot SV", gotP, wantP)
 		same("pivot LSV", cl.LSV, ref.LSV)
+
+		// Pivot-d on the first pending point: fresh permutations, the
+		// state's LSV inherited, its stored permutations dropped.
+		uOne := u.Append(added[0])
+		refD := st.Clone()
+		wantD, err := refD.AddDifferent(uOne, tau, rng.New(seed+4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		clD := st.Clone()
+		gotD, err := e.AddDifferent(clD, uOne, tau, rng.New(seed+4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("pivot-d SV", gotD, wantD)
+		same("pivot-d LSV", clD.LSV, refD.LSV)
+		if clD.Tau != refD.Tau || clD.HasPermutations() {
+			t.Fatalf("pivot-d state: τ = %d (reference %d), stored permutations %v", clD.Tau, refD.Tau, clD.HasPermutations())
+		}
 	})
 }
 

@@ -279,8 +279,8 @@ func (e *Engine) effectiveWorkers(n int) int {
 // the producer. A pass uses the fields it needs; the buffers are regrown in
 // place from pass to pass and overwritten before they are read.
 type permSlot struct {
-	perm []int     // the drawn permutation; BatchAddSame: its k evolved forms
-	cuts []int     // BatchAddSame: the points' insertion slots, then their next-pivot slots
+	perm []int     // the drawn permutation; pivot additions: its k evolved forms
+	cuts []int     // pivot additions: the points' insertion slots, then their next-pivot slots
 	row  []float64 // the walked prefix utilities
 	walk int       // positions walked: the walk length, or where TMC cut
 	slot int       // pivot slot: Initialize's draw, BatchDeleteSame's evolved one
@@ -717,6 +717,7 @@ func (e *Engine) PreprocessDeletionWith(g game.Game, tau int, r *rng.Source, cfg
 		return nil, err
 	}
 	e.stats = EngineStats{Budget: tau}
+	e.headVals = nil
 	if n == 0 || tau <= 0 {
 		return ds, nil
 	}
@@ -749,6 +750,7 @@ func (e *Engine) PreprocessMultiDeletionWith(g game.Game, d int, candidates []in
 		return nil, err
 	}
 	e.stats = EngineStats{Budget: tau}
+	e.headVals = nil
 	if n == 0 || tau <= 0 {
 		return ms, nil
 	}
@@ -886,6 +888,7 @@ func (e *Engine) MonteCarlo(g game.Game, tau int, r *rng.Source) []float64 {
 	n := g.N()
 	sv := make([]float64, n)
 	e.stats = EngineStats{Budget: tau}
+	e.headVals = nil
 	if n == 0 || tau <= 0 {
 		return sv
 	}

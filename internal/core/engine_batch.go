@@ -34,7 +34,8 @@ import (
 //     walker walks them into one row from the final permutation and the
 //     recorded insertion slots: the KNN utilities in one walk of the base
 //     chain (game.PivotPrefixEvaluator.WalkNested), any other game one
-//     chain at a time through chainRows.
+//     chain at a time through chainRows. Pivot-d (AddDifferent) is the
+//     same pass at k = 1 over freshly drawn permutations.
 //
 // Both run on the engine's permutation pipeline (walkRows, engine.go): the
 // producer draws in RNG order, walkers — the producer among them — walk
@@ -376,10 +377,60 @@ func (e *Engine) BatchAddSame(st *PivotState, gPlus game.Game, k int, rs []*rng.
 	if len(rs) != k {
 		return nil, fmt.Errorf("core: BatchAddSame got %d RNG sources for %d points", len(rs), k)
 	}
+	return e.pivotAdd(st, gPlus, k, len(st.perms), st.Tau, func(s *permSlot, t int) {
+		evolvePivotPerm(st, t, n, k, rs, s)
+	}), nil
+}
+
+// AddDifferent runs Algorithm 4 (the pivot-based algorithm with different
+// sampled permutations) on the pipeline: tau2 fresh permutations of the
+// updated game are sampled and only the suffix from the pivot's position
+// onward is evaluated; RSV is estimated from these while LSV is inherited
+// from the state. It is Pivot-s's pass at k = 1 over drawn rather than
+// stored permutations. Fresh permutations cost no permutation storage and
+// allow τ_LSV ≠ τ_RSV — the paper's Table V regime, where a large offline
+// τ_LSV drives the overall error below Pivot-s. Bit-identical to its
+// sequential reference (PivotState.AddDifferent, in the package tests) for
+// the same source at every worker count.
+//
+// AddDifferent invalidates any stored permutations (they no longer match
+// the sampled estimates), so a subsequent Pivot-s pass returns
+// ErrNoPermutations.
+func (e *Engine) AddDifferent(st *PivotState, gPlus game.Game, tau2 int, r *rng.Source) ([]float64, error) {
+	n := st.N()
+	if gPlus.N() != n+1 {
+		return nil, fmt.Errorf("core: AddDifferent game has %d players, want %d", gPlus.N(), n+1)
+	}
+	if tau2 <= 0 {
+		return nil, fmt.Errorf("core: AddDifferent requires tau2 > 0, got %d", tau2)
+	}
+	// The draws keep the reference's order: the permutation, then the next
+	// pivot's slot over the n+2 positions. The walk starts where the new
+	// point landed.
+	sv := e.pivotAdd(st, gPlus, 1, tau2, tau2, func(s *permSlot, _ int) {
+		r.Perm(s.perm)
+		s.cuts = reuseInts(s.cuts, 2)
+		s.cuts[0] = slices.Index(s.perm, n)
+		s.cuts[1] = r.Intn(n + 2)
+	})
+	st.Tau = tau2
+	st.perms, st.slots = nil, nil
+	return sv, nil
+}
+
+// pivotAdd is the pivot walk of k pending points, the last k players of
+// gPlus, over tau permutations: draw leaves permutation t's k evolved forms
+// in s.perm (point j's at s.perm[j·(n+k):]) with their insertion slots in
+// s.cuts[:k] and their next-pivot slots in s.cuts[k:]. A walker walks the
+// k nested chains into one row, and the fold adds each chain's marginals
+// to point j's accumulators rsv_j and dlsv_j (the latter up to the slot
+// drawn for the next pivot). The k points' contributions, divided by norm,
+// then fold into st's SV and LSV in arrival order.
+func (e *Engine) pivotAdd(st *PivotState, gPlus game.Game, k, tau, norm int, draw func(s *permSlot, t int)) []float64 {
+	n := st.N()
 	m := n + k
-	tau := len(st.perms)
 	workers := e.effectiveWorkers(tau)
-	e.stats = EngineStats{Budget: st.Tau, Workers: workers}
+	e.stats = EngineStats{Budget: norm, Workers: workers}
 	// The pivot walk cannot carry extra heads: its suffix walks and LSV
 	// recurrence are Shapley-specific (the planner never routes a
 	// multi-head update here).
@@ -406,7 +457,7 @@ func (e *Engine) BatchAddSame(st *PivotState, gPlus game.Game, k int, rs []*rng.
 	start := time.Now()
 	e.walkRows(permPass{
 		tau: tau, workers: workers, plen: k * m, rlen: k * (m + 1),
-		draw: func(s *permSlot, t int) { evolvePivotPerm(st, t, n, k, rs, s) },
+		draw: draw,
 		walker: func() func(*permSlot) {
 			ev := pivotRows(gPlus, chainRows{pivots: pivots, uEmpty: uEmpty})
 			return func(s *permSlot) {
@@ -434,13 +485,13 @@ func (e *Engine) BatchAddSame(st *PivotState, gPlus game.Game, k int, rs []*rng.
 		mj := n + j + 1
 		for i := 0; i < mj; i++ {
 			l := lsv[i]
-			sv[i] = l + rsv[j][i]/float64(st.Tau)
-			lsv[i] = 2.0/3.0*l + dlsv[j][i]/float64(st.Tau)
+			sv[i] = l + rsv[j][i]/float64(norm)
+			lsv[i] = 2.0/3.0*l + dlsv[j][i]/float64(norm)
 		}
 	}
 	st.SV = sv
 	st.LSV = lsv
-	return append([]float64(nil), sv...), nil
+	return append([]float64(nil), sv...)
 }
 
 // evolvePivotPerm threads stored permutation t through all k pivot

@@ -168,26 +168,6 @@ func (hs *addHeadSums) foldPos(pos, p int, mNo, mWith, dd float64) {
 	}
 }
 
-// finishAdd turns one pending point's sums into updated head values: n
-// old-player entries (base + differential average) followed by the pivot's
-// own estimate. A nil base counts as zero.
-func (hs *addHeadSums) finishAdd(base [][]float64, issued int) [][]float64 {
-	out := make([][]float64, len(hs.sums))
-	for h, s := range hs.sums {
-		n := len(s)
-		vals := make([]float64, n+1)
-		for i, v := range s {
-			vals[i] = v / float64(issued)
-			if base != nil && h < len(base) && i < len(base[h]) {
-				vals[i] += base[h][i]
-			}
-		}
-		vals[n] = hs.pivot[h] / float64(issued)
-		out[h] = vals
-	}
-	return out
-}
-
 // delHeadFold accumulates the survivors' head changes over a deletion walk
 // (n-player game shrinking to n−1): survivor q observed at position pos
 // with pivot-free marginal mNo and pivot-included marginal mWith

@@ -144,6 +144,35 @@ func TestEngineHeadsWorkerInvariance(t *testing.T) {
 	}
 }
 
+// A degenerate pass — no players or no permutations — folds no heads, so
+// HeadValues reports nil after it, not the previous pass's heads.
+func TestDegeneratePassesClearHeads(t *testing.T) {
+	g, empty := tableGame{n: 5, seed: 81}, game.Additive{}
+	e := NewEngine(WithSemivalues(semivalue.Banzhaf()))
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"MonteCarlo on 0 players", func() { e.MonteCarlo(empty, 40, rng.New(2)) }},
+		{"MonteCarlo at τ = 0", func() { e.MonteCarlo(g, 0, rng.New(2)) }},
+		{"PreprocessDeletion on 0 players", func() { e.PreprocessDeletion(empty, 40, rng.New(2)) }},
+		{"PreprocessMultiDeletion at τ = 0", func() {
+			if _, err := e.PreprocessMultiDeletion(g, 2, []int{0, 1, 3}, 0, rng.New(2)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		e.MonteCarlo(g, 40, rng.New(1))
+		if len(e.HeadValues()) != 1 {
+			t.Fatalf("%s: the priming pass reported %d heads, want 1", c.name, len(e.HeadValues()))
+		}
+		c.run()
+		if hv := e.HeadValues(); hv != nil {
+			t.Errorf("%s: HeadValues() = %v, want nil", c.name, hv)
+		}
+	}
+}
+
 // Initialize must fold heads from the same pass: serial and engine paths
 // agree bit for bit, the Shapley head equals the pivot SV, and requesting
 // heads changes neither SV nor LSV.

@@ -110,7 +110,7 @@ func TestPivotAddDifferentMatchesExact(t *testing.T) {
 	gPlus := tableGame{n: 7, seed: 24}
 	gD := restrictFirst(gPlus, 6)
 	st := pivotInit(gD, 30000, false, rng.New(5))
-	got, err := st.AddDifferent(gPlus, 30000, rng.New(6))
+	got, err := NewEngine().AddDifferent(st, gPlus, 30000, rng.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,12 +132,12 @@ func TestPivotAddDifferentLargerOfflineTau(t *testing.T) {
 	for rep := 0; rep < reps; rep++ {
 		seed := uint64(100 + rep)
 		stSmall := pivotInit(gD, 50, false, rng.New(seed))
-		gotSmall, err := stSmall.AddDifferent(gPlus, 50, rng.New(seed+1000))
+		gotSmall, err := NewEngine().AddDifferent(stSmall, gPlus, 50, rng.New(seed+1000))
 		if err != nil {
 			t.Fatal(err)
 		}
 		stBig := pivotInit(gD, 5000, false, rng.New(seed))
-		gotBig, err := stBig.AddDifferent(gPlus, 50, rng.New(seed+1000))
+		gotBig, err := NewEngine().AddDifferent(stBig, gPlus, 50, rng.New(seed+1000))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestPivotAddDifferentInvalidatesPermutations(t *testing.T) {
 	if !st.HasPermutations() {
 		t.Fatal("keepPerms init lost permutations")
 	}
-	if _, err := st.AddDifferent(g7, 50, rng.New(10)); err != nil {
+	if _, err := NewEngine().AddDifferent(st, g7, 50, rng.New(10)); err != nil {
 		t.Fatal(err)
 	}
 	if st.HasPermutations() {
@@ -184,10 +184,10 @@ func TestPivotAddSizeMismatch(t *testing.T) {
 	if _, err := st.AddSame(tableGame{n: 8, seed: 28}, rng.New(13)); err == nil {
 		t.Fatal("AddSame with wrong game size should fail")
 	}
-	if _, err := st.AddDifferent(tableGame{n: 8, seed: 28}, 10, rng.New(13)); err == nil {
+	if _, err := NewEngine().AddDifferent(st, tableGame{n: 8, seed: 28}, 10, rng.New(13)); err == nil {
 		t.Fatal("AddDifferent with wrong game size should fail")
 	}
-	if _, err := st.AddDifferent(gPlus, 0, rng.New(13)); err == nil {
+	if _, err := NewEngine().AddDifferent(st, gPlus, 0, rng.New(13)); err == nil {
 		t.Fatal("AddDifferent with τ=0 should fail")
 	}
 }
@@ -242,7 +242,7 @@ func TestPivotNewPointValueAccurate(t *testing.T) {
 	gD := restrictFirst(gPlus, 5)
 	want := Exact(gPlus)
 	st := pivotInit(gD, 20000, false, rng.New(19))
-	got, err := st.AddDifferent(gPlus, 20000, rng.New(20))
+	got, err := NewEngine().AddDifferent(st, gPlus, 20000, rng.New(20))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,9 +26,6 @@ func newPrefixWalker(g game.Game) *prefixWalker {
 	return &prefixWalker{g: g, ev: game.PrefixEvaluatorOf(g), prefix: bitset.New(g.N())}
 }
 
-// incremental reports whether walks run on the incremental path.
-func (w *prefixWalker) incremental() bool { return w.ev != nil }
-
 // reset empties the prefix.
 func (w *prefixWalker) reset() {
 	if w.ev != nil {

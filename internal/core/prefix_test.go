@@ -73,9 +73,6 @@ func TestPrefixBitIdenticalMonteCarlo(t *testing.T) {
 	sameSlice(t, "TruncatedMonteCarlo",
 		TruncatedMonteCarlo(u, 25, 0.05, rng.New(8)),
 		TruncatedMonteCarlo(hidden, 25, 0.05, rng.New(8)))
-	sameSlice(t, "MonteCarloAntithetic",
-		MonteCarloAntithetic(u, 12, rng.New(9)),
-		MonteCarloAntithetic(hidden, 12, rng.New(9)))
 }
 
 func TestPrefixBitIdenticalMonteCarloParallel(t *testing.T) {
@@ -104,11 +101,11 @@ func TestPrefixBitIdenticalPivotFamily(t *testing.T) {
 	}
 	sameSlice(t, "AddSame", svInc, svFb)
 
-	svInc, err = stInc.Clone().AddDifferent(uPlus, 20, rng.New(15))
+	svInc, err = NewEngine().AddDifferent(stInc.Clone(), uPlus, 20, rng.New(15))
 	if err != nil {
 		t.Fatal(err)
 	}
-	svFb, err = stFb.Clone().AddDifferent(hiddenPlus, 20, rng.New(15))
+	svFb, err = NewEngine().AddDifferent(stFb.Clone(), hiddenPlus, 20, rng.New(15))
 	if err != nil {
 		t.Fatal(err)
 	}

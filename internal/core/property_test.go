@@ -129,30 +129,6 @@ func TestQuickLeaveOneOutBoundedByRange(t *testing.T) {
 	}
 }
 
-func TestQuickStratifiedNullPlayer(t *testing.T) {
-	// A null player (utility ignores it) gets exactly zero from the
-	// stratified estimator: every sampled marginal is zero.
-	f := func(seed uint64, nRaw uint8) bool {
-		inner := randomGame(seed, nRaw)
-		n := inner.n + 1
-		null := n - 1
-		g := game.Func{Players: n, U: func(s bitset.Set) float64 {
-			sub := bitset.New(inner.n)
-			s.ForEach(func(i int) {
-				if i != null {
-					sub.Add(i)
-				}
-			})
-			return inner.Value(sub)
-		}}
-		sv := StratifiedMonteCarlo(g, 5, rng.New(seed+11))
-		return sv[null] == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestQuickTrackerMatchesMC(t *testing.T) {
 	f := func(seed uint64, nRaw, tauRaw uint8) bool {
 		g := randomGame(seed, nRaw)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -13,8 +14,12 @@ import (
 
 // The sequential full-walk references: one goroutine, one walk per
 // permutation, marginals folded as they are priced. Engine.MonteCarlo,
-// Engine.TruncatedMonteCarlo, Engine.Initialize and the engine's
-// preprocessing fills must match them bit for bit at every worker count.
+// Engine.TruncatedMonteCarlo, Engine.Initialize, Engine.AddDifferent and
+// the engine's preprocessing fills must match them bit for bit at every
+// worker count.
+
+// incremental reports whether walks run on the incremental path.
+func (w *prefixWalker) incremental() bool { return w.ev != nil }
 
 // MonteCarlo approximates Shapley values by permutation sampling
 // (Algorithm 1): τ random permutations are scanned head to tail and each
@@ -119,6 +124,70 @@ func pivotInit(g game.Game, tau int, keepPerms bool, r *rng.Source) *PivotState 
 	return res.Pivot
 }
 
+// AddDifferent runs Algorithm 4 (the pivot-based algorithm with different
+// sampled permutations) step by step: tau2 fresh permutations of the
+// updated game are sampled and only the suffix from the pivot's position
+// onward is evaluated; RSV is estimated from these while LSV is inherited
+// from the state. It drops any stored permutations.
+func (st *PivotState) AddDifferent(gPlus game.Game, tau2 int, r *rng.Source) ([]float64, error) {
+	n := st.N()
+	if gPlus.N() != n+1 {
+		return nil, fmt.Errorf("core: AddDifferent game has %d players, want %d", gPlus.N(), n+1)
+	}
+	if tau2 <= 0 {
+		return nil, fmt.Errorf("core: AddDifferent requires tau2 > 0, got %d", tau2)
+	}
+	pivot := n
+	m := n + 1
+	rsv := make([]float64, m)
+	dlsv := make([]float64, m)
+	w := newPrefixWalker(gPlus)
+	var uEmpty float64
+	if w.incremental() {
+		uEmpty = gPlus.Value(bitset.New(m))
+	}
+	perm := make([]int, m)
+	for k := 0; k < tau2; k++ {
+		r.Perm(perm)
+		t := 0
+		for pos, q := range perm {
+			if q == pivot {
+				t = pos
+				break
+			}
+		}
+		p := r.Intn(m + 1)
+		w.reset()
+		prev := w.advance(perm, t, uEmpty)
+		for pos := t; pos < m; pos++ {
+			q := perm[pos]
+			cur := w.add(q)
+			mc := cur - prev
+			rsv[q] += mc
+			if pos < p {
+				dlsv[q] += mc
+			}
+			prev = cur
+		}
+	}
+	sv := make([]float64, m)
+	lsv := make([]float64, m)
+	for i := 0; i < m; i++ {
+		var l float64
+		if i < n {
+			l = st.LSV[i]
+		}
+		sv[i] = l + rsv[i]/float64(tau2)
+		lsv[i] = 2.0/3.0*l + dlsv[i]/float64(tau2)
+	}
+	st.SV = sv
+	st.LSV = lsv
+	st.Tau = tau2
+	st.perms = nil
+	st.slots = nil
+	return append([]float64(nil), sv...), nil
+}
+
 // Initialize runs one Monte Carlo pass of τ permutations over g and builds
 // every requested structure from the same samples: Shapley estimates, the
 // pivot state's LSV (Algorithm 2), and the YN-NN / YNN-NNN utility arrays
@@ -204,6 +273,43 @@ func Initialize(g game.Game, tau int, opt InitOptions, r *rng.Source) (*InitResu
 		res.Multi.finishSampled()
 	}
 	return res, nil
+}
+
+// AccumulatePermutation folds one permutation's prefix utilities into the
+// sampled-mode arrays and Shapley sums (the loop body of Algorithm 6).
+// utilities[pos] must hold U({perm[0..pos]}); uEmpty is U(∅).
+func (ds *DeletionStore) AccumulatePermutation(perm []int, utilities []float64, uEmpty float64) {
+	n := ds.n
+	if len(perm) != n || len(utilities) != n {
+		panic("core: AccumulatePermutation length mismatch")
+	}
+	prev := uEmpty
+	for pos, pt := range perm {
+		cur := utilities[pos]
+		ds.SV[pt] += cur - prev
+		prev = cur
+	}
+	ds.accumulateStripe(perm, utilities, uEmpty, nil, 0, n, n)
+	ds.tau++
+}
+
+// AccumulatePermutation folds one permutation into the sampled-mode arrays.
+// utilities[pos] must hold U({perm[0..pos]}); uEmpty is U(∅).
+func (ms *MultiDeletionStore) AccumulatePermutation(perm []int, utilities []float64, uEmpty float64) {
+	n := ms.n
+	if len(perm) != n || len(utilities) != n {
+		panic("core: AccumulatePermutation length mismatch")
+	}
+	aux := ms.newAux()
+	ms.prepare(perm, aux, n)
+	prev := uEmpty
+	for p, pt := range perm {
+		cur := utilities[p]
+		ms.SV[pt] += cur - prev
+		prev = cur
+	}
+	ms.accumulateStripe(perm, utilities, uEmpty, aux, 0, n, n)
+	ms.tau++
 }
 
 // PreprocessDeletion runs Algorithm 6: Monte Carlo Shapley computation over

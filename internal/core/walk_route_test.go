@@ -201,3 +201,54 @@ func TestFullWalksMatchOnEveryRoute(t *testing.T) {
 		}
 	}
 }
+
+// Engine.AddDifferent gives its sequential reference's bits on the
+// whole-walk, step and scratch routes at every worker count, and leaves
+// the same state: values, LSV, τ₂ and no stored permutations. It walks the
+// k-NN nested walk on the first route and the step view on the second,
+// with the reference's prefix-add count on both, and trains as many models
+// as the reference on the third.
+func TestAddDifferentMatchesReferenceOnEveryRoute(t *testing.T) {
+	const n, tau, tau2 = 14, 30, 25
+	u, _ := knnPair(t, n)
+	uPlus, _ := knnPlusPair(t, n)
+	base, err := NewEngine().Initialize(u, tau, InitOptions{KeepPerms: true}, rng.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// run applies one Pivot-d pass to a copy of the base state and returns
+	// what it left, with the prefix adds and trainings it spent.
+	run := func(add func(*PivotState) ([]float64, error)) (passResult, int, int64, int64) {
+		st := base.Pivot.Clone()
+		adds, fits := uPlus.PrefixAdds(), uPlus.Fits()
+		sv, err := add(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out passResult
+		out.add("SV", sv)
+		out.addPivot(st)
+		return out, st.Tau, uPlus.PrefixAdds() - adds, uPlus.Fits() - fits
+	}
+	for i, arm := range walkArms(t, uPlus, func(g game.Game) game.Game { return g }) {
+		want, wantTau, wantAdds, wantFits := run(func(st *PivotState) ([]float64, error) {
+			return st.AddDifferent(arm.g, tau2, rng.New(9))
+		})
+		for workers := 1; workers <= 3; workers++ {
+			got, gotTau, adds, fits := run(func(st *PivotState) ([]float64, error) {
+				return NewEngine(WithWorkers(workers)).AddDifferent(st, arm.g, tau2, rng.New(9))
+			})
+			name := fmt.Sprintf("AddDifferent workers=%d %s", workers, arm.name)
+			sameResult(t, name, got, want)
+			if gotTau != tau2 || wantTau != tau2 {
+				t.Fatalf("%s: τ = %d, reference %d, want %d", name, gotTau, wantTau, tau2)
+			}
+			if i < 2 && (adds != wantAdds || adds == 0) {
+				t.Fatalf("%s: %d prefix adds, reference %d", name, adds, wantAdds)
+			}
+			if i == 2 && (fits != wantFits || fits == 0) {
+				t.Fatalf("%s: %d trainings, reference %d", name, fits, wantFits)
+			}
+		}
+	}
+}

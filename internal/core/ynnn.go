@@ -128,24 +128,6 @@ func (ds *DeletionStore) idx(i, j, k int) int {
 	return (i*ds.n+j)*(ds.n+1) + k
 }
 
-// AccumulatePermutation folds one permutation's prefix utilities into the
-// sampled-mode arrays and Shapley sums (the loop body of Algorithm 6).
-// utilities[pos] must hold U({perm[0..pos]}); uEmpty is U(∅).
-func (ds *DeletionStore) AccumulatePermutation(perm []int, utilities []float64, uEmpty float64) {
-	n := ds.n
-	if len(perm) != n || len(utilities) != n {
-		panic("core: AccumulatePermutation length mismatch")
-	}
-	prev := uEmpty
-	for pos, pt := range perm {
-		cur := utilities[pos]
-		ds.SV[pt] += cur - prev
-		prev = cur
-	}
-	ds.accumulateStripe(perm, utilities, uEmpty, nil, 0, n, n)
-	ds.tau++
-}
-
 // newAux implements stripeTarget; the YN-NN fill needs no per-permutation
 // metadata.
 func (ds *DeletionStore) newAux() []int { return nil }
@@ -451,9 +433,6 @@ type MultiDeletionStore struct {
 	// merge hot loops go through them directly.
 	yB, nnB storeBackend
 	y, nn   []float64
-	// aux is the per-permutation scratch of AccumulatePermutation, reused
-	// across calls (layout of newAux); lazily allocated, never serialised.
-	aux []int
 }
 
 // tupleIndex locates a sorted tuple of player indices by binary search
@@ -622,29 +601,6 @@ func (ms *MultiDeletionStore) Close() error {
 
 func (ms *MultiDeletionStore) idx(i, t, k int) int {
 	return (i*len(ms.tuples)+t)*(ms.n+1) + k
-}
-
-// AccumulatePermutation folds one permutation into the sampled-mode arrays.
-// utilities[pos] must hold U({perm[0..pos]}); uEmpty is U(∅). The
-// per-permutation scratch (candidate positions and tuple minima) is reused
-// across calls instead of reallocated each iteration.
-func (ms *MultiDeletionStore) AccumulatePermutation(perm []int, utilities []float64, uEmpty float64) {
-	n := ms.n
-	if len(perm) != n || len(utilities) != n {
-		panic("core: AccumulatePermutation length mismatch")
-	}
-	if ms.aux == nil {
-		ms.aux = ms.newAux()
-	}
-	ms.prepare(perm, ms.aux, n)
-	prev := uEmpty
-	for p, pt := range perm {
-		cur := utilities[p]
-		ms.SV[pt] += cur - prev
-		prev = cur
-	}
-	ms.accumulateStripe(perm, utilities, uEmpty, ms.aux, 0, n, n)
-	ms.tau++
 }
 
 // newAux implements stripeTarget: one permutation's metadata is the

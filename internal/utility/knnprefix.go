@@ -22,9 +22,10 @@ type knnStep struct {
 // evaluator train no model: they do not count as Fits, and the simulated
 // training latency (WithSimulatedLatency) does not apply. Each Add counts
 // one prefix add. The engine's full walks price a whole permutation in one
-// PivotPrefix(nil) Walk instead; this view serves the walks that stop or
-// seed part way: TMC's cut, Pivot-d's suffix walks, the antithetic
-// estimator, and the sequential references in internal/core's tests.
+// PivotPrefix(nil) Walk instead, and the pivot passes in one nested walk;
+// this view serves TMC's cut walk, the sequential references in
+// internal/core's tests, and the benchmark's per-position timing
+// (perfbench's utility.prefix_add_ns).
 // Prefix is safe for concurrent calls; each returned evaluator must stay
 // on one goroutine.
 func (u *ModelUtility) Prefix() game.PrefixEvaluator {

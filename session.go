@@ -168,6 +168,12 @@ type config struct {
 // headCount is the number of extra semivalue heads the session maintains.
 func (c config) headCount() int { return len(c.semivalues) }
 
+// needsSampledArtifacts reports whether initialisation must build stored
+// permutations or deletion arrays, the products of a permutation pass.
+func (c config) needsSampledArtifacts() bool {
+	return c.keepPerms || c.trackDeletions || c.multiDelete > 0
+}
+
 // headsLinear reports whether every configured head is a linear semivalue
 // (no |·| transform) — the condition for recovering heads from the YN-NN
 // deletion arrays.
@@ -554,30 +560,37 @@ func (s *Session) At(version int) (UpdateRecord, error) {
 }
 
 // ErrNotInitialized is returned by updates before Init has run. A Pivot-s
-// request on a version that holds no pivot state fails with an error of
-// its own text that matches it under errors.Is.
+// or Pivot-d request on a version that holds no pivot state fails with an
+// error of its own text that matches it under errors.Is.
 var ErrNotInitialized = errors.New("dynshap: session not initialized; call Init first")
 
-// storedPermsErr explains why st cannot run Pivot-s (AlgoPivotSame,
-// AlgoPivotSameBatch) and names a remedy the session offers, or returns
-// nil when st holds stored permutations for its player set. A state with
-// no pivot at all matches ErrNotInitialized, on which journal replay
-// rebuilds the artifacts.
-func (s *Session) storedPermsErr(st *sessionState) error {
+// pivotErr explains why st cannot run a pivot addition and names a remedy
+// the session offers, or returns nil when it can. Pivot-d
+// (AlgoPivotDifferent) inherits the LSV of a pivot state for st's player
+// set; Pivot-s (stored: AlgoPivotSame, AlgoPivotSameBatch) needs that
+// state's stored permutations too. A state with no pivot at all matches
+// ErrNotInitialized, on which journal replay rebuilds the artifacts.
+func (s *Session) pivotErr(st *sessionState, stored bool) error {
 	var why string
 	switch {
-	case !s.cfg.keepPerms:
+	case stored && !s.cfg.keepPerms:
 		why = "the session keeps none; build it WithKeepPermutations"
+	case st.pivot == nil && s.exactInitOnly(st):
+		why = "the session's exact k-NN initialisation builds no pivot state; use AlgoExactKNN, or build the session WithKeepPermutations"
 	case st.pivot == nil:
-		why = "this version holds none (a deletion other than AlgoPivotSameBatch, or a resume, drops them); call Refresh to rebuild them"
-	case !st.pivot.HasPermutations():
+		why = "this version holds no pivot state (a deletion other than AlgoPivotSameBatch, or a resume, drops it); call Refresh to rebuild it"
+	case stored && !st.pivot.HasPermutations():
 		why = "an AlgoPivotDifferent add dropped them; call Refresh to rebuild them"
 	case st.pivot.N() != st.train().Len():
-		why = "an update by another algorithm left them behind the player set; call Refresh to rebuild them"
+		why = "an update by another algorithm left the pivot state behind the player set; call Refresh to rebuild it"
 	default:
 		return nil
 	}
-	err := fmt.Errorf("dynshap: Pivot-s needs stored permutations, but %s", why)
+	need := "Pivot-d needs the pivot state's LSV"
+	if stored {
+		need = "Pivot-s needs stored permutations"
+	}
+	err := fmt.Errorf("dynshap: %s, but %s", need, why)
 	if st.pivot == nil {
 		return noPivotError{err}
 	}
@@ -661,6 +674,14 @@ func (s *Session) Init() error {
 	return s.initLocked("init")
 }
 
+// exactInitOnly reports whether Init and Refresh value st from its exact
+// k-NN estimator alone, building no pivot state: the estimator exists and
+// no stored permutations, deletion arrays or semivalue heads need a
+// sampled pass.
+func (s *Session) exactInitOnly(st *sessionState) bool {
+	return st.exact != nil && !s.cfg.needsSampledArtifacts() && s.cfg.headCount() == 0
+}
+
 // Refresh recomputes values and rebuilds the dynamic structures for the
 // current training set — a full (expensive) pass, used after updates have
 // degraded the maintained state or invalidated the deletion arrays.
@@ -681,9 +702,8 @@ func (s *Session) initLocked(op string) error {
 	// permutations, YN-NN / YNN-NNN arrays — all products of a permutation
 	// pass), initialisation is just the estimator's deterministic
 	// reduction: exact values, zero model trainings, zero permutations.
-	needsSampledArtifacts := s.cfg.keepPerms || s.cfg.trackDeletions || s.cfg.multiDelete > 0
 	var initTrace []string
-	if st.exact != nil && !needsSampledArtifacts && s.cfg.headCount() == 0 {
+	if s.exactInitOnly(st) {
 		st.sv = st.exact.Values()
 		st.pivot, st.del, st.multi = nil, nil, nil
 		st.initialized = true
@@ -703,7 +723,7 @@ func (s *Session) initLocked(op string) error {
 		return nil
 	}
 	if st.exact != nil {
-		if needsSampledArtifacts {
+		if s.cfg.needsSampledArtifacts() {
 			initTrace = []string{fmt.Sprintf(
 				"exact k-NN estimator present, but requested artifacts need a sampled pass (keepPerms=%v trackDeletions=%v multiDelete=%d); running τ=%d initialisation to build them",
 				s.cfg.keepPerms, s.cfg.trackDeletions, s.cfg.multiDelete, s.cfg.tau)}
@@ -1028,15 +1048,15 @@ func (s *Session) captureHeads(st *sessionState) {
 // addPivotDifferent runs Pivot-d (Algorithm 4) per point in sequence: fresh
 // permutations of each updated game, LSV inherited from the state.
 func (s *Session) addPivotDifferent(st *sessionState, points []Point, r *rng.Source, ops *opMetrics) error {
-	if st.pivot == nil {
-		return ErrNotInitialized
+	if err := s.pivotErr(st, false); err != nil {
+		return err
 	}
 	// Clone before mutating: the published predecessor shares this pivot,
 	// and a half-applied failure must not corrupt it.
 	st.pivot = st.pivot.Clone()
 	for _, p := range points {
 		uPlus := st.util.Append(p)
-		sv, err := st.pivot.AddDifferent(s.gameFor(st, uPlus), s.cfg.updateTau, r.Split())
+		sv, err := s.engine.AddDifferent(st.pivot, s.gameFor(st, uPlus), s.cfg.updateTau, r.Split())
 		if err != nil {
 			return err
 		}
@@ -1065,7 +1085,7 @@ func (s *Session) applyAppendBuilt(st *sessionState, uPlus *utility.ModelUtility
 // RNG sources are split from r in arrival order whatever the batch size,
 // so a request gives the same values either way.
 func (s *Session) addPivotSame(st *sessionState, points []Point, size int, r *rng.Source, ops *opMetrics) error {
-	if err := s.storedPermsErr(st); err != nil {
+	if err := s.pivotErr(st, true); err != nil {
 		return err
 	}
 	// Clone before mutating: the published predecessor shares this pivot,
@@ -1463,7 +1483,7 @@ func (s *Session) deleteDeltaBatch(st *sessionState, indices []int, r *rng.Sourc
 // the pivot teardown for this algorithm, so the next addition can still run
 // Pivot-s off the evolved permutations. Consumes no randomness.
 func (s *Session) deletePivotBatch(st *sessionState, indices []int, ops *opMetrics) ([]float64, error) {
-	if err := s.storedPermsErr(st); err != nil {
+	if err := s.pivotErr(st, true); err != nil {
 		return nil, err
 	}
 	// Clone before mutating: the published predecessor shares this pivot,

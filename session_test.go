@@ -293,8 +293,10 @@ func TestSessionYNNNStaleAfterUpdate(t *testing.T) {
 // without stored permutations names the cause and a remedy the session
 // offers: WithKeepPermutations when the session keeps none, Refresh after
 // an AlgoPivotDifferent add, an add by another algorithm, or a deletion
-// that dropped the pivot state. A missing pivot state still matches
-// ErrNotInitialized, on which journal replay rebuilds the artifacts.
+// that dropped the pivot state. A Pivot-d request after the latter two,
+// which leave no pivot state for the player set, names Refresh too. A
+// missing pivot state still matches ErrNotInitialized, on which journal
+// replay rebuilds the artifacts.
 func TestSessionPivotSameNamesRemedy(t *testing.T) {
 	point := []Point{{X: []float64{0, 0, 0, 0}, Y: 0}}
 	add := func(algo Algorithm) func(*Session) error {
@@ -307,14 +309,15 @@ func TestSessionPivotSameNamesRemedy(t *testing.T) {
 		before  func(*Session) error
 		remedy  string
 		noPivot bool
+		pivotD  bool // Pivot-d fails too
 	}{
-		{"without WithKeepPermutations", nil, nil, "WithKeepPermutations", false},
-		{"after AlgoPivotDifferent", keep, add(AlgoPivotDifferent), "Refresh", false},
-		{"after AlgoDelta add", keep, add(AlgoDelta), "Refresh", false},
+		{"without WithKeepPermutations", nil, nil, "WithKeepPermutations", false, false},
+		{"after AlgoPivotDifferent", keep, add(AlgoPivotDifferent), "Refresh", false, false},
+		{"after AlgoDelta add", keep, add(AlgoDelta), "Refresh", false, true},
 		{"after AlgoDelta delete", keep, func(s *Session) error {
 			_, err := s.Delete([]int{0}, AlgoDelta)
 			return err
-		}, "Refresh", true},
+		}, "Refresh", true, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := newTestSession(t, 8, c.opts...)
@@ -329,7 +332,12 @@ func TestSessionPivotSameNamesRemedy(t *testing.T) {
 			pivotSame := func() []error {
 				_, errAdd := s.Add(point, AlgoPivotSame)
 				_, errDel := s.Delete([]int{0}, AlgoPivotSameBatch)
-				return []error{errAdd, errDel}
+				errs := []error{errAdd, errDel}
+				if c.pivotD {
+					_, errD := s.Add(point, AlgoPivotDifferent)
+					errs = append(errs, errD)
+				}
+				return errs
 			}
 			for _, err := range pivotSame() {
 				if err == nil {
@@ -355,6 +363,22 @@ func TestSessionPivotSameNamesRemedy(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSessionPivotDifferentEngineStats checks that EngineStats reports the
+// Pivot-d pass itself after an AlgoPivotDifferent add: its τ is the update
+// budget, not the initialisation's.
+func TestSessionPivotDifferentEngineStats(t *testing.T) {
+	s := newTestSession(t, 8, WithUpdateSamples(25))
+	if err := s.Init(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Add([]Point{{X: []float64{0, 0, 0, 0}, Y: 0}}, AlgoPivotDifferent); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.EngineStats(); st.Issued != 25 || st.Budget != 25 {
+		t.Fatalf("EngineStats after Pivot-d: Issued %d, Budget %d, want the update τ 25", st.Issued, st.Budget)
 	}
 }
 
