@@ -11,12 +11,13 @@ build:
 
 # lint first, then the full suite, then a race pass over the packages with
 # concurrent internals: the parallel estimators, the sharded coalition
-# cache, the distance kernel's parallel column fill and its in-place
-# append sharing, the exact k-NN estimator's column-striped workers, the
-# fused k-NN evaluators built per walker goroutine, the write coalescer,
-# the HTTP server, and the root package's versioned session store
-# (non-blocking reads racing live updates). Last, the benchmark: perfbench
-# is its own module, so `go test ./...` above never compiles it.
+# cache, the distance kernel's parallel column fill and its in-place and
+# compacting appends off a shared buffer, the exact k-NN estimator's
+# column-striped workers, the fused k-NN evaluators built per walker
+# goroutine, the write coalescer, the HTTP server, and the root package's
+# versioned session store (non-blocking reads racing live updates). Last,
+# the benchmark: perfbench is its own module, so `go test ./...` above
+# never compiles it.
 test: lint
 	$(GO) test ./...
 	$(GO) test -race . ./internal/core/... ./internal/dataset/... ./internal/exact/... \
@@ -92,9 +93,12 @@ bench-large:
 
 # Memory smoke gate for CI: asserts a multi-MB spill-backed store keeps its
 # heap-resident share under the fixed byte ceiling (and merges bit-identically
-# to the in-heap float32 tiles). Small n, seconds to run, blocking.
+# to the in-heap float32 tiles), and that a session's distance kernel stays
+# within twice the live training set's bytes over 2,000 add/delete pairs on
+# the exact and the sampled path. Small n, seconds to run, blocking.
 bench-mem:
 	$(GO) test -run TestSpillStoreMemorySmoke -count=1 -v ./internal/core/
+	$(GO) test -run TestSessionKernelChurnBound -count=1 -v .
 
 # Serving smoke for CI (~6s): boot dynshapd on a local port, drive it over
 # HTTP with three short closed-loop loadgen runs — adds-only, then mixed

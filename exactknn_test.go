@@ -354,8 +354,9 @@ func TestExactKNNSnapshotReplay(t *testing.T) {
 // initialisation certified to ε must actually land within ε of the exact
 // values, and TMC / Delta updates must stay within the same order. One arm
 // drops the distance kernel; the other keeps it, so the Pivot-s,
-// Pivot-s-batch, Delta, Delta-batch and TMC updates are checked on the
-// fused kernel walks too.
+// Pivot-s-batch, Pivot-d, Delta, Delta-batch, TMC and MC updates are
+// checked on the fused kernel walks too — the last two after an Append
+// that compacts the kernel.
 func TestExactKNNOracle(t *testing.T) {
 	train, test := softPool(100, 40, 17)
 	const (
@@ -405,7 +406,11 @@ func TestExactKNNOracle(t *testing.T) {
 	// Kernel-on arm: the same budget with stored permutations, which force
 	// a sampled initialisation with the distance kernel on, so every update
 	// below runs the fused kernel walks. Each stage is checked against the
-	// closed form on the session's current data.
+	// closed form on the session's current data. The kernel starts with
+	// 100 + 25 + 4 = 129 columns; after five appended points and five
+	// deletions, the 25-point Delta-batch add outgrows it, so that Append
+	// copies only the 100 live columns, and the Delta-batch walk and the
+	// MC recompute after it read the compacted kernel.
 	sk := dynshap.NewSession(train, test, dynshap.SoftKNNClassifier{K: k},
 		dynshap.WithSeed(7), dynshap.WithKeepPermutations(),
 		dynshap.WithSamples(4000), dynshap.WithTargetError(eps, 0.05))
@@ -439,6 +444,9 @@ func TestExactKNNOracle(t *testing.T) {
 		{"Pivot-s-batch delete", func() ([]float64, error) {
 			return sk.Delete([]int{4, 60}, dynshap.AlgoPivotSameBatch)
 		}},
+		{"Pivot-d add", func() ([]float64, error) {
+			return sk.Add([]dynshap.Point{test.Points[5].Clone()}, dynshap.AlgoPivotDifferent)
+		}},
 		{"Delta add", func() ([]float64, error) {
 			return sk.Add([]dynshap.Point{test.Points[4].Clone()}, dynshap.AlgoDelta)
 		}},
@@ -448,6 +456,16 @@ func TestExactKNNOracle(t *testing.T) {
 		{"TMC recompute", func() ([]float64, error) {
 			return sk.Delete([]int{20}, dynshap.AlgoTruncatedMC)
 		}},
+		{"compacting 25-point Delta-batch add", func() ([]float64, error) {
+			pts := make([]dynshap.Point, 25)
+			for i := range pts {
+				pts[i] = test.Points[6+i].Clone()
+			}
+			return sk.Add(pts, dynshap.AlgoDeltaBatch)
+		}},
+		{"MC recompute", func() ([]float64, error) {
+			return sk.Delete([]int{50}, dynshap.AlgoMonteCarlo)
+		}},
 	}
 	for _, step := range steps {
 		got, err := step.run()
@@ -455,6 +473,12 @@ func TestExactKNNOracle(t *testing.T) {
 			t.Fatalf("%s: %v", step.stage, err)
 		}
 		check(step.stage, got, 3*eps)
+	}
+	// 124 live columns in a buffer sized for the 125 the compacting Append
+	// left (×1.25 + 4), not for the 130 columns appended since Init.
+	live := sk.Data().Len()
+	if got, want := sk.EngineStats().KernelBytes, int64((125+125/4+4)*test.Len()*8+live*4); got != want {
+		t.Fatalf("kernel on: KernelBytes %d after the compacting add, want %d", got, want)
 	}
 }
 

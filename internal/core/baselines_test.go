@@ -144,3 +144,10 @@ func TestNormalQuantile(t *testing.T) {
 	}()
 	normalQuantile(0)
 }
+
+// StepN samples n permutations.
+func (t *Tracker) StepN(n int) {
+	for i := 0; i < n; i++ {
+		t.Step()
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"dynshap/internal/bitset"
@@ -245,5 +246,67 @@ func TestBatchDeleteErrors(t *testing.T) {
 	}
 	if _, err := noPerms.DeleteSame(game.NewRestrict(u, 0), 0); err != ErrNoPermutations {
 		t.Fatalf("DeleteSame without permutations: %v, want ErrNoPermutations", err)
+	}
+}
+
+// TestDeleteEvolveMatchesSteps: one deleteEvolve pass over a batch lands
+// on the permutation and pivot slot that one deleteEvolveStep per point,
+// in arrival order, reaches — at slot 0, at slot n, and with removals on
+// both sides of the slot.
+func TestDeleteEvolveMatchesSteps(t *testing.T) {
+	rnd := rng.New(29)
+	const n = 12
+	cases := 0
+	for trial := 0; trial < 300; trial++ {
+		perm := rnd.PermN(n)
+		slot := rnd.Intn(n + 1)
+		switch trial % 5 {
+		case 0:
+			slot = 0
+		case 1:
+			slot = n
+		}
+		k := 1 + rnd.Intn(n-1)
+		points := rnd.PermN(n)[:k] // arrival order, unsorted
+		before, after := 0, 0
+		for r, q := range perm {
+			for _, p := range points {
+				if q == p && r < slot {
+					before++
+				} else if q == p {
+					after++
+				}
+			}
+		}
+		if before > 0 && after > 0 {
+			cases++
+		}
+
+		want, wantSlot := append([]int(nil), perm...), slot
+		for j, p := range points {
+			for _, d := range points[:j] {
+				if d < points[j] {
+					p--
+				}
+			}
+			want, wantSlot = deleteEvolveStep(want, wantSlot, p)
+		}
+		renum := make([]int, n)
+		next := 0
+		for q := range renum {
+			renum[q] = -1
+			if !slices.Contains(points, q) {
+				renum[q] = next
+				next++
+			}
+		}
+		got, gotSlot := deleteEvolve(append([]int(nil), perm...), slot, renum)
+		if gotSlot != wantSlot || !slices.Equal(got, want) {
+			t.Fatalf("perm %v slot %d removing %v: one pass gave %v slot %d, steps %v slot %d",
+				perm, slot, points, got, gotSlot, want, wantSlot)
+		}
+	}
+	if cases == 0 {
+		t.Fatal("no trial removed points on both sides of the slot")
 	}
 }

@@ -291,6 +291,28 @@ func BatchDeltaDeleteSeq(g game.Game, oldSV []float64, points []int, tau int, r 
 	return out, nil
 }
 
+// deleteEvolveStep removes player p from one stored permutation in place:
+// p's entry is dropped, survivors above p renumber down by one, and the
+// pivot slot decrements when p sat before it — one step of the evolution
+// deleteEvolve applies to a whole batch at once.
+func deleteEvolveStep(perm []int, slot, p int) ([]int, int) {
+	w := 0
+	for r, q := range perm {
+		if q == p {
+			if r < slot {
+				slot--
+			}
+			continue
+		}
+		if q > p {
+			q--
+		}
+		perm[w] = q
+		w++
+	}
+	return perm[:w], slot
+}
+
 // BatchDeleteSameSeq is the sequential reference for the batched pivot
 // deletion: k successive DeleteSame calls, each against the restriction of
 // the n-player pre-batch game g to the players still present (dropping the

@@ -58,13 +58,6 @@ func (t *Tracker) Step() {
 	}
 }
 
-// StepN samples n permutations.
-func (t *Tracker) StepN(n int) {
-	for i := 0; i < n; i++ {
-		t.Step()
-	}
-}
-
 // Samples returns the number of permutations consumed so far.
 func (t *Tracker) Samples() int { return t.count }
 

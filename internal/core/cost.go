@@ -83,12 +83,6 @@ func (st *PivotState) AddSameCost() Cost {
 	return Cost{Evaluations: int64(st.Tau) * (n + 2) / 2}
 }
 
-// PivotAddDifferentCost is the per-point cost of Pivot-d (Algorithm 4)
-// with tau fresh permutations over an n-player original set.
-func PivotAddDifferentCost(n, tau int) Cost {
-	return Cost{Evaluations: int64(tau) * (int64(n) + 2) / 2}
-}
-
 // DeltaAddCost is the per-point cost of the delta addition (Algorithm 5):
 // two interleaved prefix walks of the (n+1)-player game per permutation.
 func DeltaAddCost(n, tau int) Cost {

@@ -61,12 +61,12 @@ func TestUpdateCostOrdering(t *testing.T) {
 	if DeltaAddCost(n, tau).Evaluations <= MonteCarloCost(n, tau).Evaluations {
 		t.Fatal("delta per-point evaluations should exceed one MC pass at equal τ")
 	}
-	if PivotAddDifferentCost(n, tau).Evaluations >= MonteCarloCost(n+1, tau).Evaluations {
-		t.Fatal("pivot suffix replay should undercut a full MC pass")
-	}
 	st := pivotInit(costGame(10), 50, true, rng.New(1))
 	if c := st.AddSameCost(); c.Evaluations <= 0 {
 		t.Fatalf("AddSameCost = %+v", c)
+	}
+	if st.AddSameCost().Evaluations >= MonteCarloCost(st.N()+1, st.Tau).Evaluations {
+		t.Fatal("pivot suffix replay should undercut a full MC pass")
 	}
 	sum := DeltaDeleteCost(n, tau).Plus(DeltaDeleteCost(n, tau))
 	if sum.Evaluations != 2*DeltaDeleteCost(n, tau).Evaluations {

@@ -109,12 +109,6 @@ type EngineOption func(*Engine)
 // of the arrays — so this is purely a throughput knob.
 func WithWorkers(k int) EngineOption { return func(e *Engine) { e.workers = k } }
 
-// WithChunkSize sets how many permutations are issued between stripe
-// dispatches and adaptive-bound checks (default 64). The issued τ under
-// adaptive stopping is always a chunk multiple (or the full budget), so
-// the chunk size decides where early termination can land.
-func WithChunkSize(c int) EngineOption { return func(e *Engine) { e.chunk = c } }
-
 // WithTargetError enables adaptive early termination: a pass stops at the
 // first chunk boundary where an empirical-Bernstein bound certifies every
 // player's estimate within eps at confidence 1−delta, instead of spending

@@ -183,37 +183,43 @@ func (e *Engine) BatchDeltaAdd(gPlus game.Game, oldSV []float64, k, tau int, r *
 
 	start := time.Now()
 	stride := k + 1
+	prevWith := make([]float64, k)
 	// Each point's fold is the single-point walk's inner loop, with both
-	// chains' utilities read from the walked row. A zero difference — most
-	// of them under k-NN utilities — is skipped with its division: dj
-	// starts at +0, a sum that starts at +0 is never −0, and adding ±0
-	// leaves such a sum as it was, so the skip keeps every bit of the
-	// sequential reference's unconditional fold (NaN still folds).
+	// chains' utilities read from the walked row, run position by position
+	// across the k chains so the row is read in order; each accumulator
+	// still receives its additions in permutation order. A zero difference
+	// — most of them under k-NN utilities — is skipped, with its division
+	// for dmc: every sum starts at +0, a sum that starts at +0 is never
+	// −0, and adding ±0 leaves such a sum as it was, so the skips keep
+	// every bit of the sequential reference's unconditional fold (NaN
+	// still folds).
 	issued := e.walkDeltaRows(gPlus, players, pivots, uPivot, tau, workers, trk, r, func(perm []int, row []float64) {
 		for j := 0; j < k; j++ {
-			var hs *addHeadSums
-			if hsums != nil {
-				hs = hsums[j]
-			}
-			dj := dsv[j]
-			prevNo, prevWith := uEmpty, uPivot[j]
-			d0 := prevWith - prevNo
+			prevWith[j] = uPivot[j]
+			d0 := uPivot[j] - uEmpty
 			newSV[j] += d0
-			if hs != nil {
-				hs.foldD0(d0)
+			if hsums != nil {
+				hsums[j].foldD0(d0)
 			}
-			for pos, p := range perm {
-				curNo, curWith := row[pos*stride], row[pos*stride+1+j]
-				if dmc := (curWith - curNo) - (prevWith - prevNo); dmc != 0 {
-					dj[p] += dmc * float64(pos+1) / float64(n+1)
+		}
+		prevNo := uEmpty
+		for pos, p := range perm {
+			at := row[pos*stride : (pos+1)*stride]
+			curNo := at[0]
+			for j, curWith := range at[1:] {
+				if dmc := (curWith - curNo) - (prevWith[j] - prevNo); dmc != 0 {
+					dsv[j][p] += dmc * float64(pos+1) / float64(n+1)
 				}
 				dd := curWith - curNo
-				newSV[j] += dd
-				if hs != nil {
-					hs.foldPos(pos, p, curNo-prevNo, curWith-prevWith, dd)
+				if dd != 0 {
+					newSV[j] += dd
 				}
-				prevNo, prevWith = curNo, curWith
+				if hsums != nil {
+					hsums[j].foldPos(pos, p, curNo-prevNo, curWith-prevWith[j], dd)
+				}
+				prevWith[j] = curWith
 			}
+			prevNo = curNo
 		}
 		if trk != nil {
 			observeDeltaAdd(trk, perm, row, uEmpty, uPivot[0])

@@ -22,8 +22,9 @@ import (
 //     when the game offers a pivot-aware evaluator.
 //
 //   - BatchDeleteSame evolves the stored permutations through all k
-//     removals first (pure integer bookkeeping, zero randomness, zero
-//     evaluations) and walks each FINAL permutation once in the final
+//     removals first (one pass of pure integer bookkeeping per
+//     permutation, zero randomness, zero evaluations) and walks each
+//     FINAL permutation once in the final
 //     (n−k)-player game. k successive single-point deletions rebuild
 //     SV/LSV from scratch at every step, so the intermediate walks are dead
 //     work — the batch skips them for a genuine k× evaluation saving
@@ -107,21 +108,25 @@ func (e *Engine) BatchDeltaDelete(g game.Game, oldSV []float64, points []int, ta
 
 	start := time.Now()
 	stride := k + 1
+	prevWith := make([]float64, k)
 	// Each point's fold is the single-point walk's inner loop over the
-	// survivor game, with both chains' utilities read from the walked row;
+	// survivor game, with both chains' utilities read from the walked row,
+	// position by position across the k chains as in BatchDeltaAdd;
 	// denominator c+1 = n−k+1 is the survivor-game stratification weight.
 	// Zero differences skip their update, bit for bit, as in BatchDeltaAdd.
 	issued := e.walkDeltaRows(g, survivors, points, uP, tau, workers, trk, r, func(perm []int, row []float64) {
-		for j := 0; j < k; j++ {
-			dj := dsv[j]
-			prevNo, prevWith := uEmpty, uP[j]
-			for pos, q := range perm {
-				curNo, curWith := row[pos*stride], row[pos*stride+1+j]
-				if dmc := (curWith - curNo) - (prevWith - prevNo); dmc != 0 {
-					dj[q] -= dmc * float64(pos+1) / float64(c+1)
+		copy(prevWith, uP)
+		prevNo := uEmpty
+		for pos, q := range perm {
+			at := row[pos*stride : (pos+1)*stride]
+			curNo := at[0]
+			for j, curWith := range at[1:] {
+				if dmc := (curWith - curNo) - (prevWith[j] - prevNo); dmc != 0 {
+					dsv[j][q] -= dmc * float64(pos+1) / float64(c+1)
 				}
-				prevNo, prevWith = curNo, curWith
+				prevWith[j] = curWith
 			}
+			prevNo = curNo
 		}
 		if trk != nil || hf != nil {
 			observeDeltaDelete(trk, hf, perm, row, uEmpty, uP[0])
@@ -170,8 +175,8 @@ func observeDeltaDelete(trk *adaptiveTracker, hf *delHeadFold, perm []int, row [
 }
 
 // BatchDeleteSame runs the batched pivot deletion: the producer threads
-// every stored permutation through all k removals (deleteEvolveStep per
-// point, arrival order), then ONE full walk per evolved permutation in
+// every stored permutation through all k removals in one pass
+// (deleteEvolve), then ONE full walk per evolved permutation in
 // the final (n−k)-player game gMinus rebuilds SV and LSV — exactly the
 // state k successive single-point deletions land on, minus their k−1
 // intermediate walks. points are original n-player indices in arrival
@@ -202,16 +207,14 @@ func (e *Engine) BatchDeleteSame(st *PivotState, gMinus game.Game, points []int)
 	e.stats = EngineStats{Budget: st.Tau, Workers: workers}
 	e.headVals = nil
 
-	// Per-step removal indices translated through the earlier removals:
-	// rel[j] is points[j] in the numbering current when step j runs.
-	rel := make([]int, k)
-	for j, p := range points {
-		rel[j] = p
-		for _, d := range points[:j] {
-			if d < p {
-				rel[j]--
-			}
-		}
+	// renum[q] is survivor q's index in gMinus — q less the removed
+	// players below it — and −1 for a removed player.
+	renum := make([]int, n)
+	for q := range renum {
+		renum[q] = -1
+	}
+	for i, q := range batchSurvivors(n, points) {
+		renum[q] = i
 	}
 
 	rsv := zeroMat(&e.scratch.rsv, 1, m)[0]
@@ -224,10 +227,7 @@ func (e *Engine) BatchDeleteSame(st *PivotState, gMinus game.Game, points []int)
 		// The evolution rewrites the state's own permutation; the slot
 		// walks a copy, so the pool never aliases the state.
 		draw: func(s *permSlot, t int) {
-			perm, slot := st.perms[t], st.slots[t]
-			for _, d := range rel {
-				perm, slot = deleteEvolveStep(perm, slot, d)
-			}
+			perm, slot := deleteEvolve(st.perms[t], st.slots[t], renum)
 			st.perms[t], st.slots[t] = perm, slot
 			copy(s.perm, perm)
 			s.walk, s.slot = m, slot
@@ -291,26 +291,21 @@ func batchSurvivors(n int, points []int) []int {
 	return survivors
 }
 
-// deleteEvolveStep removes player p from one stored permutation in place:
-// p's entry is dropped, survivors above p renumber down by one, and the
-// pivot slot decrements when p sat before it. Pure integer bookkeeping —
-// the batched deletion evolves permutations through k removals with k of
-// these steps and walks utilities only once, which is where its k× saving
-// comes from.
-func deleteEvolveStep(perm []int, slot, p int) ([]int, int) {
-	w := 0
+// deleteEvolve removes a batch of players from one stored permutation in
+// place, landing where one removal after another would: renum maps each
+// player to its survivor index, or −1 when it departs, and the pivot slot
+// drops by the departing entries ahead of it. Pure integer bookkeeping —
+// the batched deletion walks utilities only once, which is where its k×
+// saving comes from.
+func deleteEvolve(perm []int, slot int, renum []int) ([]int, int) {
+	w, s := 0, slot
 	for r, q := range perm {
-		if q == p {
-			if r < slot {
-				slot--
-			}
-			continue
+		if nq := renum[q]; nq >= 0 {
+			perm[w] = nq
+			w++
+		} else if r < slot {
+			s--
 		}
-		if q > p {
-			q--
-		}
-		perm[w] = q
-		w++
 	}
-	return perm[:w], slot
+	return perm[:w], s
 }

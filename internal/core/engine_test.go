@@ -530,3 +530,9 @@ func TestWithTargetErrorValidation(t *testing.T) {
 		}()
 	}
 }
+
+// WithChunkSize sets how many permutations are issued between stripe
+// dispatches and adaptive-bound checks (default 64). The issued τ under
+// adaptive stopping is always a chunk multiple (or the full budget), so
+// the chunk size decides where early termination can land.
+func WithChunkSize(c int) EngineOption { return func(e *Engine) { e.chunk = c } }

@@ -154,15 +154,6 @@ func (cm *CurveModel) Eval(label int, dist float64) float64 {
 	return cm.scale * stat.PolyEval(c, dist)
 }
 
-// Labels returns the labels for which a curve was fitted.
-func (cm *CurveModel) Labels() []int {
-	out := make([]int, 0, len(cm.coeffs))
-	for l := range cm.coeffs {
-		out = append(out, l)
-	}
-	return out
-}
-
 // FitCurves performs the measurement stage of Algorithm 10 (lines 5-8): it
 // samples cfg.CurveSamples probe points, measures how the remaining players'
 // Shapley values change when each probe is removed — the same quantity, with

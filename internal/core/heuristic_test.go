@@ -298,3 +298,12 @@ func TestKNNPlusValidation(t *testing.T) {
 		t.Fatal("out-of-range deletion should fail")
 	}
 }
+
+// Labels returns the labels for which a curve was fitted.
+func (cm *CurveModel) Labels() []int {
+	out := make([]int, 0, len(cm.coeffs))
+	for l := range cm.coeffs {
+		out = append(out, l)
+	}
+	return out
+}

@@ -401,3 +401,89 @@ func PreprocessMultiDeletion(g game.Game, d int, candidates []int, tau int, r *r
 	ms.finishSampled()
 	return ms, nil
 }
+
+// PreprocessDeletionExact fills the arrays with the combinatorial sums of
+// Definition 1 by complete enumeration (n ≤ MaxExactPlayers) and records
+// exact Shapley values. Merge then applies Lemma 3 verbatim.
+func PreprocessDeletionExact(g game.Game) *DeletionStore {
+	n := g.N()
+	if n > MaxExactPlayers {
+		panic(fmt.Sprintf("core: PreprocessDeletionExact limited to %d players, got %d", MaxExactPlayers, n))
+	}
+	ds := NewDeletionStore(n)
+	ds.exact = true
+	ds.SV = Exact(g)
+	s := bitset.New(n)
+	size := 1 << uint(n)
+	for mask := 0; mask < size; mask++ {
+		s.Clear()
+		for i := 0; i < n; i++ {
+			if mask&(1<<uint(i)) != 0 {
+				s.Add(i)
+			}
+		}
+		u := g.Value(s)
+		k := popcount(mask)
+		for i := 0; i < n; i++ {
+			iIn := mask&(1<<uint(i)) != 0
+			for j := 0; j < n; j++ {
+				if mask&(1<<uint(j)) != 0 {
+					continue // j must be excluded
+				}
+				if iIn {
+					ds.ynB.add(ds.idx(i, j, k), u)
+				} else if i != j {
+					ds.nnB.add(ds.idx(i, j, k), u)
+				}
+			}
+		}
+	}
+	return ds
+}
+
+// PreprocessMultiDeletionExact fills Definition-2 arrays by complete
+// enumeration (n ≤ MaxExactPlayers).
+func PreprocessMultiDeletionExact(g game.Game, d int, candidates []int) (*MultiDeletionStore, error) {
+	n := g.N()
+	if n > MaxExactPlayers {
+		return nil, fmt.Errorf("core: exact multi-deletion limited to %d players, got %d", MaxExactPlayers, n)
+	}
+	ms, err := NewMultiDeletionStore(n, d, candidates)
+	if err != nil {
+		return nil, err
+	}
+	ms.exact = true
+	ms.SV = Exact(g)
+	s := bitset.New(n)
+	size := 1 << uint(n)
+	for mask := 0; mask < size; mask++ {
+		s.Clear()
+		for i := 0; i < n; i++ {
+			if mask&(1<<uint(i)) != 0 {
+				s.Add(i)
+			}
+		}
+		u := g.Value(s)
+		k := popcount(mask)
+		for t, tuple := range ms.tuples {
+			excluded := true
+			for _, m := range tuple {
+				if mask&(1<<uint(m)) != 0 {
+					excluded = false
+					break
+				}
+			}
+			if !excluded {
+				continue
+			}
+			for i := 0; i < n; i++ {
+				if mask&(1<<uint(i)) != 0 {
+					ms.yB.add(ms.idx(i, t, k), u)
+				} else if !contains(tuple, i) {
+					ms.nnB.add(ms.idx(i, t, k), u)
+				}
+			}
+		}
+	}
+	return ms, nil
+}

@@ -20,7 +20,10 @@ import (
 // a training point writes exactly one new block, O(m), without touching
 // existing columns. A cols indirection maps logical training
 // indices to physical blocks so Remove is pure masking: drop entries from
-// cols, never move a float.
+// cols, never move a float. The masked blocks are reclaimed when an
+// Append next reallocates: it copies only the view's live columns, so the
+// buffer tracks the live training set rather than every point ever
+// appended.
 //
 // Kernels are persistent values in the same sense as Dataset: Append and
 // Remove return new views and never mutate columns the receiver exposes.
@@ -144,19 +147,29 @@ func (k *DistanceKernel) At(i, j int) float64 {
 }
 
 // Phys returns the physical column id backing logical training index i.
-// Physical ids are assigned in append order, never reused and never moved,
-// so they are stable names for training points across the logical-index
-// shifts Remove causes. Within any view the mapping is strictly
-// increasing: Append claims fresh ids past every existing one and Remove
-// preserves order — so ascending physical id IS ascending logical index,
-// which is what lets the exact estimator keep tie-order with a stable
-// sort while indexing its state by physical id.
+// Physical ids are assigned in append order and stable between
+// reallocations: Remove and an in-place Append keep every id, so ids name
+// training points across the logical-index shifts Remove causes. A
+// reallocating Append renumbers — its live columns take ids 0, 1, … in
+// logical order — and Renumbered reports when that happened. Within any
+// view the mapping is strictly increasing: Append places new ids past
+// every existing one and Remove and compaction preserve order — so
+// ascending physical id IS ascending logical index, which is what lets the
+// exact estimator keep tie-order with a stable sort while indexing its
+// state by physical id.
 func (k *DistanceKernel) Phys(i int) int32 { return k.cols[i] }
 
 // PhysExtent returns the number of physical columns the view may address:
-// every id returned by Phys is < PhysExtent. Masked (removed) columns
-// count — their storage stays resident and readable.
+// every id returned by Phys is < PhysExtent. Columns masked since the last
+// reallocation count — their storage stays resident and readable.
 func (k *DistanceKernel) PhysExtent() int { return k.phys }
+
+// Renumbered reports whether k, derived from base by Appends alone, names
+// base's columns with other physical ids than base does — true exactly
+// when one of those Appends reallocated, and so compacted, the buffer.
+// Appends keep the logical prefix, so base's logical column i is k's
+// logical column i and base.Phys(i) → k.Phys(i) is the renumbering.
+func (k *DistanceKernel) Renumbered(base *DistanceKernel) bool { return k.share != base.share }
 
 // AtPhys returns the distance between the physical column p and test
 // point j — the same entry At reads through the logical map. It stays
@@ -170,15 +183,18 @@ func (k *DistanceKernel) AtPhys(p int32, j int) float64 {
 // against the kernel's test set — O(m·d) per point, independent of n. The
 // receiver is unchanged. The new columns land in the shared buffer's spare
 // capacity when this view is the buffer's frontier (the common sequential
-// Add flow); a branched Append reallocates its own buffer instead. Batched
-// appends fill their columns with the same parallel blocked fill as
-// construction (single-point appends stay serial — the fill gates on size).
+// Add flow). Otherwise — the buffer is full, or the Append branches — it
+// reallocates, copying only the view's live columns, in logical order,
+// ahead of the new ones: the new view's ids are 0, 1, … in logical order
+// (see Renumbered), its PhysExtent is live + new, and its capacity grows
+// from that. Batched appends fill their columns with the same parallel
+// blocked fill as construction (single-point appends stay serial — the
+// fill gates on size).
 func (k *DistanceKernel) Append(points ...Point) *DistanceKernel {
 	need := len(points)
 	nk := &DistanceKernel{m: k.m, test: k.test, workers: k.workers}
-	nk.cols = make([]int32, len(k.cols), len(k.cols)+need)
-	copy(nk.cols, k.cols)
 	if need == 0 {
+		nk.cols = append([]int32(nil), k.cols...)
 		nk.data, nk.phys, nk.share = k.data, k.phys, k.share
 		return nk
 	}
@@ -188,17 +204,24 @@ func (k *DistanceKernel) Append(points ...Point) *DistanceKernel {
 		k.share.claimed += need
 	}
 	k.share.mu.Unlock()
+	live := len(k.cols)
+	nk.cols = make([]int32, live, live+need)
+	base := k.phys
 	if inPlace {
+		copy(nk.cols, k.cols)
 		nk.data = k.data
 		nk.share = k.share
 	} else {
-		capCols := k.phys + need
+		base = live
+		capCols := live + need
 		capCols += capCols/4 + 4
 		nk.data = make([]float64, capCols*k.m)
-		copy(nk.data, k.data[:k.phys*k.m])
-		nk.share = &kernelShare{claimed: k.phys + need}
+		for i, c := range k.cols {
+			copy(nk.data[i*k.m:(i+1)*k.m], k.data[int(c)*k.m:])
+			nk.cols[i] = int32(i)
+		}
+		nk.share = &kernelShare{claimed: live + need}
 	}
-	base := k.phys
 	nk.fill(points, base, nk.workers)
 	for t := 0; t < need; t++ {
 		nk.cols = append(nk.cols, int32(base+t))
@@ -208,10 +231,12 @@ func (k *DistanceKernel) Append(points ...Point) *DistanceKernel {
 }
 
 // Remove returns a view without the columns for the given logical training
-// indices. No distances are recomputed or moved — the surviving cols
-// entries keep pointing at their physical blocks, and remaining logical
-// indices shift down exactly as Dataset.Remove shifts points. Masked
-// columns stay allocated until every view sharing the buffer is dropped.
+// indices. No distances are recomputed or moved and no id changes — the
+// surviving cols entries keep pointing at their physical blocks, and
+// remaining logical indices shift down exactly as Dataset.Remove shifts
+// points. Masked columns stay allocated until the next reallocating
+// Append drops them from its copy and every view sharing the old buffer
+// is dropped.
 func (k *DistanceKernel) Remove(indices ...int) *DistanceKernel {
 	gone := make(map[int]bool, len(indices))
 	for _, i := range indices {

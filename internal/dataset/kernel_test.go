@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"math"
+	"sync"
 	"testing"
 
 	"dynshap/internal/rng"
@@ -203,4 +205,106 @@ func TestNearestWithMatchesNearest(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDistanceKernelCompactingAppend: an Append that outgrows the buffer
+// after removals copies only the live columns, bit for bit and in logical
+// order, ahead of the new ones — ids 0, 1, … and PhysExtent live + new —
+// and reports the renumbering; Removes and in-place Appends keep every id.
+func TestDistanceKernelCompactingAppend(t *testing.T) {
+	test, train := randomSets(59, 7, 20, 4)
+	_, extra := randomSets(67, 0, 40, 4)
+	k := NewDistanceKernel(test, train, 1) // capacity 20 + 5 + 4 = 29 columns
+	cur := train
+	kr := k.Remove(0, 3, 4, 11, 19)
+	cur = cur.Remove(0, 3, 4, 11, 19)
+	if kr.Renumbered(k) || kr.PhysExtent() != 20 || kr.Phys(0) != 1 {
+		t.Fatalf("Remove renumbered: Renumbered %v, PhysExtent %d, Phys(0) %d",
+			kr.Renumbered(k), kr.PhysExtent(), kr.Phys(0))
+	}
+	// 9 more columns fill the buffer in place; ids stay as they were.
+	kf := kr.Append(extra.Points[:9]...)
+	cur = cur.Append(extra.Points[:9]...)
+	if kf.Renumbered(kr) || kf.PhysExtent() != 29 || kf.Phys(0) != 1 {
+		t.Fatalf("in-place Append renumbered: Renumbered %v, PhysExtent %d, Phys(0) %d",
+			kf.Renumbered(kr), kf.PhysExtent(), kf.Phys(0))
+	}
+	checkKernel(t, kf, test, cur)
+	// Three more do not fit: the copy keeps the 24 live columns only.
+	kc := kf.Append(extra.Points[9:12]...)
+	next := cur.Append(extra.Points[9:12]...)
+	if !kc.Renumbered(kf) || !kc.Renumbered(kr) {
+		t.Fatal("compacting Append not reported as a renumbering")
+	}
+	if live := cur.Len(); kc.PhysExtent() != live+3 {
+		t.Fatalf("PhysExtent after compaction = %d, want live %d + 3", kc.PhysExtent(), live)
+	}
+	for i := 0; i < kc.Cols(); i++ {
+		if kc.Phys(i) != int32(i) {
+			t.Fatalf("Phys(%d) = %d after compaction, want %d", i, kc.Phys(i), i)
+		}
+	}
+	for i := 0; i < kf.Cols(); i++ {
+		a, b := kf.Col(i), kc.Col(i)
+		for j := range a {
+			if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
+				t.Fatalf("column %d row %d moved from %v to %v", i, j, a[j], b[j])
+			}
+		}
+	}
+	checkKernel(t, kc, test, next)
+	// The old views still read their own buffer.
+	checkKernel(t, kf, test, cur)
+	checkKernel(t, k, test, train)
+	if got, want := kc.MemoryBytes(), int64((27+27/4+4)*7*8+27*4); got != want {
+		t.Fatalf("MemoryBytes after compaction = %d, want %d", got, want)
+	}
+	// The compacted buffer is the next frontier: Appends extend it in place.
+	if ka := kc.Append(extra.Points[12]); ka.Renumbered(kc) || ka.Phys(27) != 27 {
+		t.Fatalf("Append after compaction: Renumbered %v, Phys(27) %d", ka.Renumbered(kc), ka.Phys(27))
+	}
+	// A branched Append reallocates, so it compacts too.
+	if kb := kr.Append(extra.Points[30]); !kb.Renumbered(kr) || kb.PhysExtent() != 16 {
+		t.Fatalf("branched Append: Renumbered %v, PhysExtent %d, want true and 16", kb.Renumbered(kr), kb.PhysExtent())
+	}
+}
+
+// TestDistanceKernelConcurrentAppends: goroutines append different points
+// to one masked view at once while others read it. One Append may claim
+// the spare columns in place; the rest reallocate and compact, reading the
+// shared buffer as they copy. Every view must read its own set exactly.
+// Run under -race (make test).
+func TestDistanceKernelConcurrentAppends(t *testing.T) {
+	test, train := randomSets(71, 9, 30, 4)
+	_, extra := randomSets(73, 0, 24, 4)
+	base := NewDistanceKernel(test, train, 1).Remove(1, 2, 17)
+	live := train.Remove(1, 2, 17)
+	const branches = 6
+	views := make([]*DistanceKernel, branches)
+	var wg sync.WaitGroup
+	for b := 0; b < branches; b++ {
+		wg.Add(2)
+		go func(b int) {
+			defer wg.Done()
+			views[b] = base.Append(extra.Points[4*b : 4*b+4]...)
+		}(b)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < base.Cols(); i++ {
+				_ = base.At(i, i%base.Rows())
+			}
+		}()
+	}
+	wg.Wait()
+	compacted := 0
+	for b, v := range views {
+		checkKernel(t, v, test, live.Append(extra.Points[4*b:4*b+4]...))
+		if v.Renumbered(base) {
+			compacted++
+		}
+	}
+	if compacted != branches-1 {
+		t.Fatalf("%d of %d branched Appends reallocated, want all but the one that claimed the spare columns", compacted, branches)
+	}
+	checkKernel(t, base, test, live)
 }

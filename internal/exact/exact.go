@@ -45,8 +45,12 @@
 // Binary insertion places a new point after every equal distance — its
 // physical id exceeds all existing ones — reproducing the stable sort;
 // deletions remove entries without renumbering anything. Labels live in an
-// append-only array indexed by physical id, so no maintained state ever
-// needs remapping when logical indices shift.
+// array indexed by physical id, so no maintained state needs remapping
+// when logical indices shift. Ids change only when an Append reallocates
+// the kernel, which compacts its live columns (DistanceKernel.Renumbered);
+// Add then maps orders and labels through the renumbering before it
+// inserts. The map is increasing, so every order keeps its ranks and its
+// tie order, and the state stays equal to a rebuild.
 //
 // # Determinism and parallelism
 //
@@ -79,8 +83,8 @@ type Estimator struct {
 	kernel  *dataset.DistanceKernel
 
 	// testLab[j] is test point j's label; physLab[p] the label of the
-	// training point backing physical column p (append-only, survives
-	// deletions — tombstoned columns keep their label).
+	// training point backing physical column p (tombstoned columns keep
+	// their label until a renumbering drops them).
 	testLab []int32
 	physLab []int32
 
@@ -379,10 +383,14 @@ func (e *Estimator) match(p, ty int32) float64 {
 }
 
 // Add registers the points appended to the kernel at logical indices
-// first..first+len(labels)−1. kernel must be the post-append view (it
-// shares the receiver's physical buffer). Each column binary-inserts the
-// new points and recomputes only the affected rank suffix.
+// first..first+len(labels)−1. kernel must be derived from the receiver's
+// view by Appends alone; when they compacted the buffer, the maintained
+// ids are renumbered first. Each column binary-inserts the new points and
+// recomputes only the affected rank suffix.
 func (e *Estimator) Add(kernel *dataset.DistanceKernel, first int, labels []int) {
+	if kernel.Renumbered(e.kernel) {
+		e.renumber(kernel)
+	}
 	e.kernel = kernel
 	for len(e.physLab) < kernel.PhysExtent() {
 		e.physLab = append(e.physLab, 0)
@@ -400,6 +408,30 @@ func (e *Estimator) Add(kernel *dataset.DistanceKernel, first int, labels []int)
 		}
 	})
 	e.dirty = true
+}
+
+// renumber moves the maintained ids from e.kernel's numbering to kernel's,
+// mapping each live column's id to the id kernel gives the same logical
+// index. The map preserves order, so orders keep their ranks and tvals
+// and s1 hold as they are; acc is dropped for reduce to size afresh.
+func (e *Estimator) renumber(kernel *dataset.DistanceKernel) {
+	old := e.kernel
+	ren := make([]int32, old.PhysExtent())
+	lab := make([]int32, kernel.PhysExtent())
+	for i := 0; i < old.Cols(); i++ {
+		p, q := old.Phys(i), kernel.Phys(i)
+		ren[p] = q
+		lab[q] = e.physLab[p]
+	}
+	e.physLab = lab
+	e.acc = nil
+	e.parallel(e.m, func(lo, hi int) {
+		for _, ord := range e.orders[lo:hi] {
+			for r, p := range ord {
+				ord[r] = ren[p]
+			}
+		}
+	})
 }
 
 func (e *Estimator) addColumn(j int, phys []int32) {

@@ -129,6 +129,86 @@ func TestDynamicEqualsRebuild(t *testing.T) {
 	}
 }
 
+// TestDynamicEqualsRebuildAcrossCompaction drives the estimator across an
+// Append that compacts the kernel — deletions, then more points than the
+// buffer has spare columns — with exact distance ties between points of
+// different labels, so a slip in the renumbered ids or in their tie order
+// changes values. The maintained values must equal a rebuild bit for bit
+// after every step, at one worker and at several, and deletions after the
+// compaction name points by their new ids.
+func TestDynamicEqualsRebuildAcrossCompaction(t *testing.T) {
+	pool := dataset.TwoGaussians(rng.New(19), 130, 4, 2.5)
+	train, test := pool.Split(60.0 / 130) // m = 70 runs the columns in parallel
+	const k = 3
+	// twin returns p's features under the other label: a distance tie
+	// whose order decides values.
+	twin := func(p dataset.Point) dataset.Point {
+		q := p.Clone()
+		q.Y = 1 - q.Y
+		return q
+	}
+	for _, workers := range []int{1, 3} {
+		e, kernel := build(train, test, k, workers) // 60 + 15 + 4 = 79 columns
+		cur := train.Clone()
+		check := func(step string) {
+			t.Helper()
+			fresh, _ := build(cur, test, k, workers)
+			got, want := e.Values(), fresh.Values()
+			if len(got) != len(want) {
+				t.Fatalf("workers=%d %s: maintained %d values, rebuild %d", workers, step, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("workers=%d %s: sv[%d] maintained %v != rebuilt %v", workers, step, i, got[i], want[i])
+				}
+			}
+		}
+		remove := func(idxs ...int) {
+			t.Helper()
+			phys := make([]int32, len(idxs))
+			for i, idx := range idxs {
+				phys[i] = kernel.Phys(idx)
+			}
+			kernel = kernel.Remove(idxs...)
+			cur = cur.Remove(idxs...)
+			e.Delete(phys, kernel)
+			check("remove")
+		}
+		add := func(pts ...dataset.Point) (renumbered bool) {
+			t.Helper()
+			prev, first := kernel, cur.Len()
+			kernel = kernel.Append(pts...)
+			cur = cur.Append(pts...)
+			e.Add(kernel, first, labelsOf(dataset.New(pts)))
+			check("add")
+			return kernel.Renumbered(prev)
+		}
+
+		remove(0, 7, 8, 30, 59)
+		var fill []dataset.Point
+		for i := 0; i < 10; i++ {
+			fill = append(fill, twin(cur.Points[i]))
+		}
+		for i := 0; i < 9; i++ {
+			fill = append(fill, test.Points[i].Clone())
+		}
+		if add(fill...) {
+			t.Fatalf("workers=%d: 19 points into 19 spare columns renumbered", workers)
+		}
+		remove(3, 40)
+		if !add(twin(cur.Points[5]), twin(cur.Points[60]), cur.Points[6].Clone()) {
+			t.Fatalf("workers=%d: the Append past capacity did not compact", workers)
+		}
+		if kernel.PhysExtent() != cur.Len() {
+			t.Fatalf("workers=%d: PhysExtent %d after compaction, want the %d live columns", workers, kernel.PhysExtent(), cur.Len())
+		}
+		remove(1, cur.Len()-1, 20)
+		if add(twin(cur.Points[2]), twin(cur.Points[cur.Len()-1])) {
+			t.Fatalf("workers=%d: an Append into the compacted buffer's spare columns renumbered", workers)
+		}
+	}
+}
+
 // TestWorkerInvariance checks the bit-identity contract across worker
 // counts, for the initial build and after maintenance.
 func TestWorkerInvariance(t *testing.T) {

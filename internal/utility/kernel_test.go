@@ -189,3 +189,89 @@ func TestKernelMemoryBytes(t *testing.T) {
 		t.Fatalf("non-KNN utility reports %d kernel bytes, want 0", got)
 	}
 }
+
+// TestKernelCompactionMatchesScratch: removals followed by an Append that
+// outgrows the kernel's buffer compact it — the live columns are copied
+// and renumbered — and Value and every whole walk must still equal the
+// scratch utility bit for bit, for the hard and the soft k-NN utility.
+func TestKernelCompactionMatchesScratch(t *testing.T) {
+	rnd := rng.New(4321)
+	for trial := 0; trial < 8; trial++ {
+		k := 1 + rnd.Intn(5)
+		u, us := kernelPair(t, 16, 9, k, uint64(700+trial), 3)
+		if trial%2 == 1 {
+			u = NewModelUtility(u.Train(), u.Test(), ml.SoftKNN{K: k})
+			us = NewModelUtility(us.Train(), us.Test(), ml.SoftKNN{K: k}, WithoutKernel())
+		}
+		check := func(step string) {
+			t.Helper()
+			n := u.N()
+			for rep := 0; rep < 10; rep++ {
+				s := bitset.New(n)
+				for i := 0; i < n; i++ {
+					if rnd.Intn(2) == 0 {
+						s.Add(i)
+					}
+				}
+				if got, want := u.Value(s), us.Value(s); got != want {
+					t.Fatalf("trial %d %s: Value %v, scratch %v", trial, step, got, want)
+				}
+			}
+			final := rnd.PermN(n)
+			pivots := final[n-2:]
+			for _, pv := range [][]int{nil, pivots} {
+				perm := final[:n-len(pv)]
+				got := make([]float64, len(perm)*(len(pv)+1))
+				want := make([]float64, len(got))
+				game.PivotPrefixOf(u, pv).Walk(perm, got)
+				game.PivotPrefixOf(us, pv).Walk(perm, want)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("trial %d %s: %d-pivot walk row[%d] %v, scratch %v", trial, step, len(pv), i, got[i], want[i])
+					}
+				}
+			}
+			// Nested chains over the same players: pivot 0 at a random
+			// place among the others, pivot 1 at the end.
+			at := rnd.Intn(n - 1)
+			nested := append(append(append([]int(nil), final[:at]...), pivots[0]), final[at:n-2]...)
+			nested = append(nested, pivots[1])
+			starts := []int{at, n - 1}
+			got := make([]float64, 2*(n+1))
+			want := make([]float64, len(got))
+			game.PivotPrefixOf(u, pivots).WalkNested(nested, starts, got)
+			game.PivotPrefixOf(us, pivots).WalkNested(nested, starts, want)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d %s: nested walk row[%d] %v, scratch %v", trial, step, i, got[i], want[i])
+				}
+			}
+		}
+		extra := func(cnt int) []dataset.Point {
+			pts := make([]dataset.Point, cnt)
+			for i := range pts {
+				if rnd.Intn(3) == 0 {
+					pts[i] = u.Train().Points[rnd.Intn(u.N())].Clone() // a distance tie
+				} else {
+					pts[i] = dataset.Point{X: []float64{rnd.NormFloat64(), rnd.NormFloat64(), rnd.NormFloat64(), rnd.NormFloat64()}, Y: rnd.Intn(3)}
+				}
+			}
+			return pts
+		}
+		// 19 columns in a 27-column buffer: mask four, then append twelve.
+		gone := []int{0, 5, 6, 18}
+		u, us = u.Remove(gone...), us.Remove(gone...)
+		check("remove")
+		prev := u.kernel
+		pts := extra(12)
+		u, us = u.Append(pts...), us.Append(pts...)
+		if !u.kernel.Renumbered(prev) || u.kernel.PhysExtent() != u.N() {
+			t.Fatalf("trial %d: the Append did not compact (PhysExtent %d, n %d)", trial, u.kernel.PhysExtent(), u.N())
+		}
+		check("compacting append")
+		u, us = u.Remove(2, 20), us.Remove(2, 20)
+		pts = extra(2)
+		u, us = u.Append(pts...), us.Append(pts...)
+		check("append after compaction")
+	}
+}

@@ -127,3 +127,71 @@ func TestSnapshotPersistsKernelDisabled(t *testing.T) {
 		t.Fatalf("resumed session rebuilt a kernel (%d bytes) despite WithoutDistanceKernel", got)
 	}
 }
+
+// TestSessionKernelChurnBound holds the distance kernel to the live
+// training set under long churn: n = 200 training points and m = 50 test
+// points, then 2,000 pairs of one single-point add and one delete, so n
+// never moves. A delete only masks its column; the masked columns are
+// reclaimed when an Append reallocates. Kept for the whole history, they
+// would grow the kernel to about 1 MB here, against the 80 KB the live set
+// needs. The exact arm runs AlgoAuto on a soft k-NN session, which takes
+// the closed-form path and so must carry the estimator's column ids across
+// every compaction; it ends by checking its values against a from-scratch
+// session bit for bit. The sampled arm walks permutations on the kernel.
+// `make bench-mem` runs this test.
+func TestSessionKernelChurnBound(t *testing.T) {
+	const (
+		n     = 200
+		m     = 50
+		pairs = 2000
+		bound = 2 * n * m * 8
+	)
+	train, test := dynshap.IrisLike(n+m, 31).Split(float64(n) / float64(n+m))
+	extra := dynshap.IrisLike(pairs, 37)
+	arms := []struct {
+		name    string
+		trainer dynshap.Trainer
+		opts    []dynshap.Option
+	}{
+		{"exact", dynshap.SoftKNNClassifier{K: 5}, nil},
+		{"sampled", dynshap.KNNClassifier{K: 5},
+			[]dynshap.Option{dynshap.WithSamples(8), dynshap.WithUpdateSamples(2)}},
+	}
+	for _, arm := range arms {
+		t.Run(arm.name, func(t *testing.T) {
+			s := dynshap.NewSession(train, test, arm.trainer, append(arm.opts, dynshap.WithSeed(3))...)
+			if err := s.Init(); err != nil {
+				t.Fatal(err)
+			}
+			peak := s.EngineStats().KernelBytes
+			for i := 0; i < pairs; i++ {
+				if _, err := s.Add(extra.Points[i:i+1], dynshap.AlgoAuto); err != nil {
+					t.Fatalf("pair %d add: %v", i, err)
+				}
+				peak = max(peak, s.EngineStats().KernelBytes)
+				if _, err := s.Delete([]int{37 * i % n}, dynshap.AlgoAuto); err != nil {
+					t.Fatalf("pair %d delete: %v", i, err)
+				}
+			}
+			got := s.EngineStats().KernelBytes
+			t.Logf("KernelBytes after %d add/delete pairs: %d (peak %d, bound %d)", pairs, got, peak, bound)
+			if got > bound || peak > bound {
+				t.Fatalf("KernelBytes %d (peak %d) after %d add/delete pairs at n = %d, m = %d; want ≤ %d",
+					got, peak, pairs, n, m, bound)
+			}
+			if arm.name != "exact" {
+				return
+			}
+			fresh := dynshap.NewSession(s.Data(), test, arm.trainer, dynshap.WithSeed(3))
+			if err := fresh.Init(); err != nil {
+				t.Fatal(err)
+			}
+			want, vals := fresh.Values(), s.Values()
+			for i := range want {
+				if vals[i] != want[i] {
+					t.Fatalf("after churn sv[%d] = %v, from-scratch %v", i, vals[i], want[i])
+				}
+			}
+		})
+	}
+}
