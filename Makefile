@@ -93,11 +93,13 @@ bench-large:
 
 # Memory smoke gate for CI: asserts a multi-MB spill-backed store keeps its
 # heap-resident share under the fixed byte ceiling (and merges bit-identically
-# to the in-heap float32 tiles), and that a session's distance kernel stays
-# within twice the live training set's bytes over 2,000 add/delete pairs on
-# the exact and the sampled path. Small n, seconds to run, blocking.
+# to the in-heap float32 tiles), that a Pivot-s batch's pipeline slots hold
+# only the final permutation (n + k ids, not k evolved copies), and that a
+# session's distance kernel stays within twice the live training set's bytes
+# over 2,000 add/delete pairs on the exact and the sampled path. Small n,
+# seconds to run, blocking.
 bench-mem:
-	$(GO) test -run TestSpillStoreMemorySmoke -count=1 -v ./internal/core/
+	$(GO) test -run 'TestSpillStoreMemorySmoke|TestPivotAddSlotsHoldFinalPermutation' -count=1 -v ./internal/core/
 	$(GO) test -run TestSessionKernelChurnBound -count=1 -v .
 
 # Serving smoke for CI (~6s): boot dynshapd on a local port, drive it over

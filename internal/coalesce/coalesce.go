@@ -163,7 +163,7 @@ type submission struct {
 
 // points is how many training points the submission admits into a window —
 // the unit MaxBatch bounds.
-func (sub submission) points() int {
+func (sub *submission) points() int {
 	if sub.kind == subDelete {
 		return len(sub.indices)
 	}
@@ -175,7 +175,9 @@ func (sub submission) points() int {
 type Coalescer struct {
 	exec Executor
 	cfg  Config
-	subs chan submission
+	// subs is the admission queue. It carries pointers, so its buffer
+	// costs QueueDepth words up front, not QueueDepth submissions.
+	subs chan *submission
 
 	mu      sync.RWMutex
 	closed  bool
@@ -196,7 +198,7 @@ func New(exec Executor, cfg Config) *Coalescer {
 		cfg:     cfg.normalized(),
 		stopped: make(chan struct{}),
 	}
-	c.subs = make(chan submission, c.cfg.QueueDepth)
+	c.subs = make(chan *submission, c.cfg.QueueDepth)
 	go c.run()
 	return c
 }
@@ -205,7 +207,7 @@ func New(exec Executor, cfg Config) *Coalescer {
 // inside the window it lands in, in admitted order; the handle resolves
 // with the window's version and the point's attributed value.
 func (c *Coalescer) SubmitAdd(p dataset.Point) *Handle {
-	return c.submit(submission{kind: subAdd, point: p.Clone(), h: newHandle()})
+	return c.submit(&submission{kind: subAdd, point: p.Clone(), h: newHandle()})
 }
 
 // SubmitDelete admits a deletion and returns its future. Indices are
@@ -224,14 +226,14 @@ func (c *Coalescer) SubmitAdd(p dataset.Point) *Handle {
 // is a barrier. A window fails as a unit: one submission's out-of-range
 // index fails every future sharing its window.
 func (c *Coalescer) SubmitDelete(indices []int) *Handle {
-	return c.submit(submission{
+	return c.submit(&submission{
 		kind:    subDelete,
 		indices: append([]int(nil), indices...),
 		h:       newHandle(),
 	})
 }
 
-func (c *Coalescer) submit(sub submission) *Handle {
+func (c *Coalescer) submit(sub *submission) *Handle {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if c.closed {
@@ -252,7 +254,7 @@ func (c *Coalescer) Flush() error {
 		return nil
 	}
 	flushed := make(chan struct{})
-	c.subs <- submission{kind: subFlush, flushed: flushed}
+	c.subs <- &submission{kind: subFlush, flushed: flushed}
 	c.mu.RUnlock()
 	<-flushed
 	return nil
@@ -271,7 +273,7 @@ func (c *Coalescer) Close() error {
 	// Send the stop token while still holding the write lock: no reader
 	// can be mid-send (submit holds the read lock across its send), so the
 	// token is guaranteed to be the queue's last element.
-	c.subs <- submission{kind: subStop}
+	c.subs <- &submission{kind: subStop}
 	c.mu.Unlock()
 	<-c.stopped
 	return nil
@@ -281,7 +283,7 @@ func (c *Coalescer) Close() error {
 // executes every admitted update in order.
 func (c *Coalescer) run() {
 	defer close(c.stopped)
-	var window []submission
+	var window []*submission
 	// winKind is the open window's kind (meaningful while len(window) > 0);
 	// winPoints is how many training points it has admitted — the unit
 	// MaxBatch bounds (an add is one point, a delete submission carries
@@ -312,7 +314,7 @@ func (c *Coalescer) run() {
 	// admit appends an add/delete submission to the open window, closing it
 	// first when the kinds differ — the add↔delete transition is the only
 	// barrier left in the pipeline.
-	admit := func(sub submission) {
+	admit := func(sub *submission) {
 		if len(window) > 0 && winKind != sub.kind {
 			closeWindow()
 		}
@@ -322,7 +324,7 @@ func (c *Coalescer) run() {
 	}
 	// barrier handles the control submissions. Callers close the open
 	// window first. Returns true when the drainer should stop.
-	barrier := func(sub submission) bool {
+	barrier := func(sub *submission) bool {
 		switch sub.kind {
 		case subFlush:
 			close(sub.flushed)
@@ -381,7 +383,7 @@ func (c *Coalescer) run() {
 
 // execWindow runs one closed window through the executor and resolves its
 // futures with their per-point attribution.
-func (c *Coalescer) execWindow(window []submission) {
+func (c *Coalescer) execWindow(window []*submission) {
 	pts := c.pts[:0]
 	for _, sub := range window {
 		pts = append(pts, sub.point)
@@ -417,7 +419,7 @@ func (c *Coalescer) execWindow(window []submission) {
 // positions its predecessors vacated. The merged removal therefore deletes
 // exactly the points every caller named, and executing it as one batch is
 // bit-reproducible from the journal like any other recorded update.
-func (c *Coalescer) execDeleteWindow(window []submission) {
+func (c *Coalescer) execDeleteWindow(window []*submission) {
 	var doomed []int // pre-window indices already claimed, ascending
 	merged := make([]int, 0, len(window))
 	for _, sub := range window {

@@ -282,7 +282,7 @@ func TestDeleteEvolveMatchesSteps(t *testing.T) {
 			cases++
 		}
 
-		want, wantSlot := append([]int(nil), perm...), slot
+		want, wantSlot := storePerm(nil, perm), slot
 		for j, p := range points {
 			for _, d := range points[:j] {
 				if d < points[j] {
@@ -300,7 +300,7 @@ func TestDeleteEvolveMatchesSteps(t *testing.T) {
 				next++
 			}
 		}
-		got, gotSlot := deleteEvolve(append([]int(nil), perm...), slot, renum)
+		got, gotSlot := deleteEvolve(storePerm(nil, perm), slot, renum)
 		if gotSlot != wantSlot || !slices.Equal(got, want) {
 			t.Fatalf("perm %v slot %d removing %v: one pass gave %v slot %d, steps %v slot %d",
 				perm, slot, points, got, gotSlot, want, wantSlot)

@@ -50,10 +50,10 @@ func (st *PivotState) AddSame(gPlus game.Game, r *rng.Source) ([]float64, error)
 	for k := range st.perms {
 		old := st.perms[k]
 		t := st.slots[k]
-		perm := make([]int, 0, m)
-		perm = append(perm, old[:t]...)
-		perm = append(perm, pivot)
-		perm = append(perm, old[t:]...)
+		perm := make([]int, m)
+		loadPerm(perm, old[:t])
+		perm[t] = pivot
+		loadPerm(perm[t+1:], old[t:])
 		// Slot for the *next* pivot, uniform over the m+1 = n+2 positions.
 		p := r.Intn(m + 1)
 		w.reset()
@@ -68,7 +68,7 @@ func (st *PivotState) AddSame(gPlus game.Game, r *rng.Source) ([]float64, error)
 			}
 			prev = cur
 		}
-		st.perms[k] = perm
+		st.perms[k] = storePerm(nil, perm)
 		st.slots[k] = p
 	}
 	sv := make([]float64, m)
@@ -136,7 +136,7 @@ func (st *PivotState) DeleteSame(gMinus game.Game, p int) ([]float64, error) {
 		w.reset()
 		prev := uEmpty
 		for pos, q := range perm {
-			cur := w.add(q)
+			cur := w.add(int(q))
 			mc := cur - prev
 			rsv[q] += mc
 			if pos < slot {
@@ -295,16 +295,16 @@ func BatchDeltaDeleteSeq(g game.Game, oldSV []float64, points []int, tau int, r 
 // p's entry is dropped, survivors above p renumber down by one, and the
 // pivot slot decrements when p sat before it — one step of the evolution
 // deleteEvolve applies to a whole batch at once.
-func deleteEvolveStep(perm []int, slot, p int) ([]int, int) {
+func deleteEvolveStep(perm []int32, slot, p int) ([]int32, int) {
 	w := 0
 	for r, q := range perm {
-		if q == p {
+		if int(q) == p {
 			if r < slot {
 				slot--
 			}
 			continue
 		}
-		if q > p {
+		if int(q) > p {
 			q--
 		}
 		perm[w] = q

@@ -215,6 +215,27 @@ func TestBatchAddSameK1MatchesAddSame(t *testing.T) {
 	sameSlice(t, "k=1 LSV", cl.LSV, ref.LSV)
 }
 
+// TestPivotAddSlotsHoldFinalPermutation: a Pivot-s batch's pipeline slots
+// carry the final permutation alone; the fold peels the k chains off it.
+// A slot holding every point's evolved permutation would need k·(n+k) =
+// 3,456 entries here.
+func TestPivotAddSlotsHoldFinalPermutation(t *testing.T) {
+	const n, k = 200, 16
+	st, uPlus, _ := pivotFixture(t, n, k)
+	e := NewEngine(WithWorkers(2))
+	if _, err := e.BatchAddSame(st, uPlus, k, splitSources(9, k)); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.scratch.slots) == 0 {
+		t.Fatal("the pass left no pipeline slots")
+	}
+	for i, s := range e.scratch.slots {
+		if cap(s.perm) > n+k {
+			t.Fatalf("slot %d has room for %d permutation entries, want ≤ n+k = %d", i, cap(s.perm), n+k)
+		}
+	}
+}
+
 func TestBatchAddErrors(t *testing.T) {
 	const n, k = 8, 3
 	uPlus, _ := knnBatchPair(t, n, k)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
@@ -273,7 +272,7 @@ func (e *Engine) effectiveWorkers(n int) int {
 // the producer. A pass uses the fields it needs; the buffers are regrown in
 // place from pass to pass and overwritten before they are read.
 type permSlot struct {
-	perm []int     // the drawn permutation; pivot additions: its k evolved forms
+	perm []int     // the drawn permutation; pivot additions: the final one, every pending point inserted
 	cuts []int     // pivot additions: the points' insertion slots, then their next-pivot slots
 	row  []float64 // the walked prefix utilities
 	walk int       // positions walked: the walk length, or where TMC cut
@@ -300,8 +299,10 @@ type permPass struct {
 // slotsPerWorker bounds walkRows's permutations in flight. The producer
 // folds rows strictly in permutation order, so a walker that finishes early
 // needs queued permutations to stay busy; at n = 200 and k = 16, one or two
-// per worker measurably stalled the walkers and four did not. The rows stay
-// a small part of the heap.
+// per worker measurably stalled the walkers and four did not. The rows are
+// the price: at that shape and 2 workers, the 8 slots' rows measured
+// 213 KB of knn-delta-churn's 0.51 MB heap and 224 KB of
+// knn-pivot-churn's 0.75 MB (perfbench, heap_mb).
 const slotsPerWorker = 4
 
 // walkRows is the engine's permutation pipeline; every pass runs on it. The
@@ -404,8 +405,8 @@ func (e *Engine) permSlots(count, plen, rlen int) []*permSlot {
 	}
 	slots := e.scratch.slots[:count]
 	for _, s := range slots {
-		s.perm = reuseInts(s.perm, plen)
-		s.row = reuseFloats(s.row, rlen)
+		s.perm = reuse(s.perm, plen)
+		s.row = reuse(s.row, rlen)
 	}
 	return slots
 }
@@ -784,7 +785,7 @@ func (e *Engine) Initialize(g game.Game, tau int, opt InitOptions, r *rng.Source
 		},
 	}
 	if opt.KeepPerms {
-		res.Pivot.perms = make([][]int, 0, tau)
+		res.Pivot.perms = make([][]int32, 0, tau)
 		res.Pivot.slots = make([]int, 0, tau)
 	}
 	if opt.TrackDeletions {
@@ -827,7 +828,7 @@ func (e *Engine) Initialize(g game.Game, tau int, opt InitOptions, r *rng.Source
 		perPerm: func(s *permSlot, uEmpty float64) {
 			foldPivot(s.perm, s.row, uEmpty, 0, s.walk, s.slot, st.SV, st.LSV)
 			if opt.KeepPerms {
-				st.perms = append(st.perms, slices.Clone(s.perm))
+				st.perms = append(st.perms, storePerm(nil, s.perm))
 				st.slots = append(st.slots, s.slot)
 			}
 		},

@@ -66,19 +66,11 @@ type batchScratch struct {
 	slots []*permSlot
 }
 
-// reuseInts returns a length-n int buffer, reusing s's storage when it
-// fits. Contents are unspecified — callers overwrite before reading.
-func reuseInts(s []int, n int) []int {
+// reuse returns a length-n buffer, reusing s's storage when it fits.
+// Contents are unspecified — callers overwrite before reading.
+func reuse[E any](s []E, n int) []E {
 	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-// reuseFloats is reuseInts for float64 buffers.
-func reuseFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+		return make([]E, n)
 	}
 	return s[:n]
 }
@@ -415,7 +407,7 @@ func (e *Engine) AddDifferent(st *PivotState, gPlus game.Game, tau2 int, r *rng.
 	// point landed.
 	sv := e.pivotAdd(st, gPlus, 1, tau2, tau2, func(s *permSlot, _ int) {
 		r.Perm(s.perm)
-		s.cuts = reuseInts(s.cuts, 2)
+		s.cuts = reuse(s.cuts, 2)
 		s.cuts[0] = slices.Index(s.perm, n)
 		s.cuts[1] = r.Intn(n + 2)
 	})
@@ -425,13 +417,15 @@ func (e *Engine) AddDifferent(st *PivotState, gPlus game.Game, tau2 int, r *rng.
 }
 
 // pivotAdd is the pivot walk of k pending points, the last k players of
-// gPlus, over tau permutations: draw leaves permutation t's k evolved forms
-// in s.perm (point j's at s.perm[j·(n+k):]) with their insertion slots in
-// s.cuts[:k] and their next-pivot slots in s.cuts[k:]. A walker walks the
-// k nested chains into one row, and the fold adds each chain's marginals
-// to point j's accumulators rsv_j and dlsv_j (the latter up to the slot
-// drawn for the next pivot). The k points' contributions, divided by norm,
-// then fold into st's SV and LSV in arrival order.
+// gPlus, over tau permutations: draw leaves permutation t's final form —
+// every pending point inserted — in s.perm, with the points' insertion
+// slots in s.cuts[:k] and their next-pivot slots in s.cuts[k:]. Point j's
+// evolved permutation, chain j, is the final one without points
+// j+1..k−1. A walker walks the k nested chains into one row, and the fold
+// adds each chain's marginals to point j's accumulators rsv_j and dlsv_j
+// (the latter up to the slot drawn for the next pivot). The k points'
+// contributions, divided by norm, then fold into st's SV and LSV in
+// arrival order.
 func (e *Engine) pivotAdd(st *PivotState, gPlus game.Game, k, tau, norm int, draw func(s *permSlot, t int)) []float64 {
 	n := st.N()
 	m := n + k
@@ -452,30 +446,31 @@ func (e *Engine) pivotAdd(st *PivotState, gPlus game.Game, k, tau, norm int, dra
 	for j := range pivots {
 		pivots[j] = n + j
 	}
-	// A slot holds point j's evolved permutation (n+j+1 players) at
-	// perm[j·m:] and its suffix utilities at row[j·(m+1):], where u[pos] is
-	// U(perm_j[:pos]) for pos from j's insertion slot to the end; the last
-	// evolved permutation is the final one.
-	segment := func(s *permSlot, j int) ([]int, []float64) {
-		return s.perm[j*m : j*m+n+j+1], s.row[j*(m+1) : j*(m+1)+n+j+2]
-	}
 
+	// A slot holds the final permutation (m players) and one row of k
+	// segments: chain j's suffix utilities at row[j·(m+1):], where u[pos]
+	// is U(chain_j[:pos]) for pos from j's insertion slot to the end. The
+	// fold rebuilds the chains by peeling: it copies the final permutation
+	// into chain, its own scratch, folds chain k−1, takes point k−1 out at
+	// its insertion slot to leave chain k−2, and so on down to chain 0.
+	chain := make([]int, 0, m)
 	start := time.Now()
 	e.walkRows(permPass{
-		tau: tau, workers: workers, plen: k * m, rlen: k * (m + 1),
+		tau: tau, workers: workers, plen: m, rlen: k * (m + 1),
 		draw: draw,
 		walker: func() func(*permSlot) {
 			ev := pivotRows(gPlus, chainRows{pivots: pivots, uEmpty: uEmpty})
 			return func(s *permSlot) {
-				final, _ := segment(s, k-1)
-				ev.WalkNested(final, s.cuts[:k], s.row)
+				ev.WalkNested(s.perm, s.cuts[:k], s.row)
 			}
 		},
 		fold: func(s *permSlot) {
-			for j := 0; j < k; j++ {
-				pj, u := segment(s, j)
+			chain = append(chain[:0], s.perm...)
+			for j := k - 1; j >= 0; j-- {
+				u := s.row[j*(m+1) : j*(m+1)+len(chain)+1]
 				tslot, next := s.cuts[j], s.cuts[k+j]
-				e.stats.Updates += foldPivot(pj, u[1:], u[tslot], tslot, len(pj), next, rsv[j], dlsv[j])
+				e.stats.Updates += foldPivot(chain, u[1:], u[tslot], tslot, len(chain), next, rsv[j], dlsv[j])
+				chain = slices.Delete(chain, tslot, tslot+1)
 			}
 		},
 	})
@@ -501,29 +496,28 @@ func (e *Engine) pivotAdd(st *PivotState, gPlus game.Game, k, tau, norm int, dra
 }
 
 // evolvePivotPerm threads stored permutation t through all k pivot
-// insertions into slot s — exactly what k successive single-point passes
+// insertions in slot s — exactly what k successive single-point passes
 // do to this permutation — and installs the final permutation and slot
-// back into the state. Point j's evolved permutation lands at
-// s.perm[j·(n+k):], and s.cuts[j], s.cuts[k+j] record the slot it was
-// inserted at (where its suffix walk starts) and the slot drawn for the
-// next pivot (its dlsv cutoff). It consumes one Intn draw from each source,
-// in arrival order. The final permutation is COPIED into the state:
-// st.perms[t] is cloned by the session for this update and must outlive
-// the slot.
+// back into the state. s.perm ends as the final permutation, and s.cuts[j],
+// s.cuts[k+j] record the slot point j was inserted at (where its suffix
+// walk starts) and the slot drawn for the next pivot (its dlsv cutoff). It
+// consumes one Intn draw from each source, in arrival order. The final
+// permutation is COPIED into the state: st.perms[t] is cloned by the
+// session for this update and must outlive the slot.
 func evolvePivotPerm(st *PivotState, t, n, k int, rs []*rng.Source, s *permSlot) {
-	m := n + k
-	s.cuts = reuseInts(s.cuts, 2*k)
-	cur, tslot := st.perms[t], st.slots[t]
+	s.cuts = reuse(s.cuts, 2*k)
+	perm := s.perm[:n]
+	loadPerm(perm, st.perms[t])
+	tslot := st.slots[t]
 	for j := 0; j < k; j++ {
-		pj := s.perm[j*m : j*m+len(cur)+1]
-		copy(pj, cur[:tslot])
-		pj[tslot] = n + j
-		copy(pj[tslot+1:], cur[tslot:])
-		next := rs[j].Intn(len(pj) + 1)
+		perm = perm[:len(perm)+1]
+		copy(perm[tslot+1:], perm[tslot:])
+		perm[tslot] = n + j
+		next := rs[j].Intn(len(perm) + 1)
 		s.cuts[j], s.cuts[k+j] = tslot, next
-		cur, tslot = pj, next
+		tslot = next
 	}
-	st.perms[t] = append(st.perms[t][:0], cur...)
+	st.perms[t] = storePerm(st.perms[t], perm)
 	st.slots[t] = tslot
 }
 

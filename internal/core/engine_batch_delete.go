@@ -229,7 +229,7 @@ func (e *Engine) BatchDeleteSame(st *PivotState, gMinus game.Game, points []int)
 		draw: func(s *permSlot, t int) {
 			perm, slot := deleteEvolve(st.perms[t], st.slots[t], renum)
 			st.perms[t], st.slots[t] = perm, slot
-			copy(s.perm, perm)
+			loadPerm(s.perm, perm)
 			s.walk, s.slot = m, slot
 		},
 		walker: prefixRows(gMinus),
@@ -297,11 +297,11 @@ func batchSurvivors(n int, points []int) []int {
 // drops by the departing entries ahead of it. Pure integer bookkeeping —
 // the batched deletion walks utilities only once, which is where its k×
 // saving comes from.
-func deleteEvolve(perm []int, slot int, renum []int) ([]int, int) {
+func deleteEvolve(perm []int32, slot int, renum []int) ([]int32, int) {
 	w, s := 0, slot
 	for r, q := range perm {
 		if nq := renum[q]; nq >= 0 {
-			perm[w] = nq
+			perm[w] = int32(nq)
 			w++
 		} else if r < slot {
 			s--

@@ -14,11 +14,14 @@ import (
 
 const wireVersion = 1
 
+// Perms travels as int32, the width PivotState stores. gob sends integers
+// width-free, so files written when it was [][]int decode into it (an id
+// out of int32's range fails the decode), and these decode as [][]int.
 type pivotWire struct {
 	Version int
 	SV, LSV []float64
 	Tau     int
-	Perms   [][]int
+	Perms   [][]int32
 	Slots   []int
 }
 
@@ -51,16 +54,8 @@ func ReadPivotState(r io.Reader) (*PivotState, error) {
 	if len(wire.SV) != len(wire.LSV) {
 		return nil, fmt.Errorf("core: pivot state SV/LSV length mismatch (%d vs %d)", len(wire.SV), len(wire.LSV))
 	}
-	if wire.Perms != nil {
-		if len(wire.Perms) != len(wire.Slots) {
-			return nil, fmt.Errorf("core: pivot state perms/slots length mismatch")
-		}
-		n := len(wire.SV)
-		for i, p := range wire.Perms {
-			if len(p) != n {
-				return nil, fmt.Errorf("core: pivot state permutation %d has %d entries, want %d", i, len(p), n)
-			}
-		}
+	if err := checkStoredPerms(len(wire.SV), wire.Tau, wire.Perms, wire.Slots); err != nil {
+		return nil, err
 	}
 	return &PivotState{
 		SV:    wire.SV,
@@ -69,6 +64,40 @@ func ReadPivotState(r io.Reader) (*PivotState, error) {
 		perms: wire.Perms,
 		slots: wire.Slots,
 	}, nil
+}
+
+// checkStoredPerms validates a pivot state's stored permutations against
+// its n players: one slot per permutation, each permutation a permutation
+// of 0..n−1, each slot in [0, n], and Tau counting the permutations — the
+// invariants Initialize establishes and every Pivot-s pass keeps. The
+// passes index by these values unchecked, so a corrupt entry would panic
+// mid-pass or skew the values silently.
+func checkStoredPerms(n, tau int, perms [][]int32, slots []int) error {
+	if len(perms) != len(slots) {
+		return fmt.Errorf("core: pivot state holds %d permutations but %d slots", len(perms), len(slots))
+	}
+	if perms == nil {
+		return nil
+	}
+	if tau != len(perms) {
+		return fmt.Errorf("core: pivot state Tau is %d but it holds %d permutations", tau, len(perms))
+	}
+	seen := make([]int, n) // seen[q] == i+1: permutation i holds q
+	for i, p := range perms {
+		if len(p) != n {
+			return fmt.Errorf("core: pivot state permutation %d has %d entries, want %d", i, len(p), n)
+		}
+		for _, q := range p {
+			if q < 0 || int(q) >= n || seen[q] == i+1 {
+				return fmt.Errorf("core: pivot state permutation %d is not a permutation of 0..%d (entry %d)", i, n-1, q)
+			}
+			seen[q] = i + 1
+		}
+		if s := slots[i]; s < 0 || s > n {
+			return fmt.Errorf("core: pivot state slot %d is %d, outside [0,%d]", i, s, n)
+		}
+	}
+	return nil
 }
 
 type deletionWire struct {

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
+	"reflect"
+	"slices"
 	"testing"
 
 	"dynshap/internal/game"
@@ -38,6 +41,102 @@ func TestPivotStateRoundTrip(t *testing.T) {
 	}
 	if maxAbsDiff(a, b) != 0 {
 		t.Fatal("restored pivot state behaves differently")
+	}
+}
+
+// legacyPivotWire is pivotWire as written while stored permutations were
+// []int.
+type legacyPivotWire struct {
+	Version int
+	SV, LSV []float64
+	Tau     int
+	Perms   [][]int
+	Slots   []int
+}
+
+// TestPivotStateWireCompatible: a stream written with []int permutations
+// loads into the int32 store as the same state bit for bit, and a stream
+// written now decodes into the old wire struct unchanged.
+func TestPivotStateWireCompatible(t *testing.T) {
+	st := pivotInit(tableGame{n: 7, seed: 103}, 40, true, rng.New(4))
+	legacy := legacyPivotWire{Version: wireVersion, SV: st.SV, LSV: st.LSV, Tau: st.Tau, Slots: st.slots}
+	for _, p := range st.perms {
+		wide := make([]int, len(p))
+		loadPerm(wide, p)
+		legacy.Perms = append(legacy.Perms, wide)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&legacy); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadPivotState(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitEqual(t, "SV", back.SV, st.SV)
+	assertBitEqual(t, "LSV", back.LSV, st.LSV)
+	if back.Tau != st.Tau || !slices.Equal(back.slots, st.slots) || !slices.EqualFunc(back.perms, st.perms, slices.Equal[[]int32]) {
+		t.Fatal("a legacy stream decoded to a different state")
+	}
+
+	buf.Reset()
+	if err := st.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var old legacyPivotWire
+	if err := gob.NewDecoder(&buf).Decode(&old); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(old, legacy) {
+		t.Fatal("a current stream decoded into the legacy wire struct differs")
+	}
+
+	// A legacy id past int32's range fails the decode.
+	legacy.Perms[0][0] = 1 << 40
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(&legacy); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadPivotState(&buf); err == nil {
+		t.Fatal("a legacy stream with an id past int32 loaded")
+	}
+}
+
+// TestReadPivotStateRejectsCorruptPermutations: a load checks what the
+// stored permutations hold, not just their lengths. Loaded, a duplicated
+// entry would skew the next pass's values silently, and an out-of-range
+// entry or slot would panic it.
+func TestReadPivotStateRejectsCorruptPermutations(t *testing.T) {
+	st := pivotInit(tableGame{n: 5, seed: 104}, 30, true, rng.New(5))
+	load := func(corrupt func(w *pivotWire)) error {
+		c := st.Clone()
+		w := pivotWire{Version: wireVersion, SV: c.SV, LSV: c.LSV, Tau: c.Tau, Perms: c.perms, Slots: c.slots}
+		corrupt(&w)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadPivotState(&buf)
+		return err
+	}
+	if err := load(func(*pivotWire) {}); err != nil {
+		t.Fatalf("the intact state fails to load: %v", err)
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(w *pivotWire)
+	}{
+		{"duplicated entry", func(w *pivotWire) { w.Perms[3][1] = w.Perms[3][0] }},
+		{"entry past n", func(w *pivotWire) { w.Perms[3][2] = 99 }},
+		{"negative entry", func(w *pivotWire) { w.Perms[3][2] = -1 }},
+		{"slot past n", func(w *pivotWire) { w.Slots[3] = 99 }},
+		{"negative slot", func(w *pivotWire) { w.Slots[3] = -1 }},
+		{"Tau not counting the permutations", func(w *pivotWire) { w.Tau++ }},
+		{"slots without permutations", func(w *pivotWire) { w.Perms = nil }},
+	} {
+		if load(tc.corrupt) == nil {
+			t.Errorf("%s: loaded without error", tc.name)
+		}
 	}
 }
 

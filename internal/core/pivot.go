@@ -24,8 +24,11 @@ type PivotState struct {
 
 	// perms/slots are retained only when the state was built with
 	// InitOptions.KeepPerms; they enable Pivot-s (Engine.BatchAddSame and
-	// Engine.BatchDeleteSame).
-	perms [][]int
+	// Engine.BatchDeleteSame). There are Tau of each: a permutation of the
+	// N players and its pivot slot in [0, N]. The ids are int32, half the
+	// bytes of int in the largest thing the state keeps (τ·N ids); the
+	// passes widen them into the pipeline's []int slots as they draw.
+	perms [][]int32
 	slots []int
 }
 
@@ -41,9 +44,9 @@ func (st *PivotState) Clone() *PivotState {
 		Tau: st.Tau,
 	}
 	if st.perms != nil {
-		c.perms = make([][]int, len(st.perms))
+		c.perms = make([][]int32, len(st.perms))
 		for i, p := range st.perms {
-			c.perms[i] = append([]int(nil), p...)
+			c.perms[i] = append([]int32(nil), p...)
 		}
 		c.slots = append([]int(nil), st.slots...)
 	}
@@ -57,3 +60,21 @@ func (st *PivotState) HasPermutations() bool { return st.perms != nil }
 // built without InitOptions.KeepPerms (or a previous Engine.AddDifferent
 // discarded the permutations).
 var ErrNoPermutations = errors.New("core: pivot state holds no stored permutations; Pivot-s needs a state initialised with kept permutations")
+
+// storePerm narrows perm into dst as a stored permutation, reusing dst's
+// storage when it fits.
+func storePerm(dst []int32, perm []int) []int32 {
+	dst = reuse(dst, len(perm))
+	for i, q := range perm {
+		dst[i] = int32(q)
+	}
+	return dst
+}
+
+// loadPerm widens stored permutation perm into dst[:len(perm)].
+func loadPerm(dst []int, perm []int32) {
+	dst = dst[:len(perm)]
+	for i, q := range perm {
+		dst[i] = int(q)
+	}
+}

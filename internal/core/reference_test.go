@@ -204,7 +204,7 @@ func Initialize(g game.Game, tau int, opt InitOptions, r *rng.Source) (*InitResu
 		},
 	}
 	if opt.KeepPerms {
-		res.Pivot.perms = make([][]int, 0, tau)
+		res.Pivot.perms = make([][]int32, 0, tau)
 		res.Pivot.slots = make([]int, 0, tau)
 	}
 	if opt.TrackDeletions {
@@ -246,7 +246,7 @@ func Initialize(g game.Game, tau int, opt InitOptions, r *rng.Source) (*InitResu
 			prev = cur
 		}
 		if opt.KeepPerms {
-			st.perms = append(st.perms, perm)
+			st.perms = append(st.perms, storePerm(nil, perm))
 			st.slots = append(st.slots, t)
 		}
 		if res.Deletion != nil {

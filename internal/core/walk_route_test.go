@@ -39,7 +39,7 @@ func walkArms(t *testing.T, u *utility.ModelUtility, wrap func(game.Game) game.G
 // (values, heads, store arrays) and any stored permutations and slots.
 type passResult struct {
 	floats []namedFloats
-	perms  [][]int
+	perms  [][]int32
 	slots  []int
 }
 
